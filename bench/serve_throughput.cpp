@@ -4,12 +4,16 @@
 // cost model charges ECALL transitions, MEE-encrypted copies, and paging as
 // modeled seconds, so that is the time batching actually removes; wall time
 // is reported alongside).  batch=1 is the unbatched baseline: every request
-// pays a full embedding push plus one enclave transition.  A second table
-// runs the end-to-end VaultServer (micro-batch queue + work-stealing
-// JobSystem workers + LRU cache) under a mixed workload: interactive query
-// latency is measured with and without a saturating MAINTENANCE flood on
-// the same workers, which is exactly the starvation the job system's
-// maintenance in-flight cap exists to prevent.  Headline scalars:
+// pays a full embedding push plus one enclave transition.  The sweep calls
+// VaultDeployment::infer_labels_batched one-shot (generation 0) on purpose:
+// every batch pushes the embeddings, so the table isolates what batching
+// alone saves (VaultServer pushes them once per feature snapshot).  A
+// second table runs the end-to-end VaultServer (micro-batch queue +
+// work-stealing JobSystem workers + LRU cache) under a mixed workload:
+// interactive query latency is measured with and without a saturating
+// MAINTENANCE flood on the same workers, which is exactly the starvation
+// the job system's maintenance in-flight cap exists to prevent.  Headline
+// scalars:
 //
 //   interactive_p99_clean_ms   client-observed p99, no background work
 //   interactive_p99_mixed_ms   client-observed p99 under the flood

@@ -113,9 +113,10 @@ int main(int argc, char** argv) {
   table.print();
   table.write_csv(out_dir() + "/shard_scaling.csv");
 
-  // Reference: the classic per-batch single-enclave path (no label
-  // materialization), the serving mode VaultServer uses for fitting
-  // tenants.  Every batch stages the full embedding matrices.
+  // Reference: the one-shot per-batch single-enclave path (no label
+  // materialization): every batch stages the full embedding matrices.
+  // VaultServer, which serves fitting tenants, stages them once per
+  // feature snapshot instead, so this is an upper bound on its cost.
   {
     DeploymentOptions dopts;
     dopts.cost_model = model;

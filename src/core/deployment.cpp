@@ -60,65 +60,92 @@ std::vector<Matrix> VaultDeployment::run_backbone(const CsrMatrix& features) {
 std::vector<std::uint32_t> VaultDeployment::infer_labels(const CsrMatrix& features) {
   // --- 1. Public backbone in the untrusted world. -----------------------
   const auto outputs = run_backbone(features);
-  return secure_infer(outputs, nullptr);
+  return secure_infer(outputs, nullptr, 0);
 }
 
 std::vector<std::uint32_t> VaultDeployment::infer_labels_subset(
     const CsrMatrix& features, std::span<const std::uint32_t> nodes) {
   const auto outputs = run_backbone(features);
-  return secure_infer(outputs, &nodes);
+  return secure_infer(outputs, &nodes, 0);
 }
 
 std::vector<std::uint32_t> VaultDeployment::infer_labels_batched(
     const std::vector<Matrix>& backbone_outputs,
-    std::span<const std::uint32_t> nodes) {
-  return secure_infer(backbone_outputs, &nodes);
+    std::span<const std::uint32_t> nodes, std::uint64_t generation) {
+  return secure_infer(backbone_outputs, &nodes, generation);
+}
+
+void VaultDeployment::release_inputs() {
+  for (std::size_t idx = 0; idx < inputs_.size(); ++idx) {
+    if (inputs_[idx].empty()) continue;
+    enclave_.memory().free("rect.input." + std::to_string(idx));
+  }
+  inputs_.clear();
+  inputs_generation_ = 0;
 }
 
 std::vector<std::uint32_t> VaultDeployment::secure_infer(
-    const std::vector<Matrix>& outputs, const std::span<const std::uint32_t>* nodes) {
+    const std::vector<Matrix>& outputs, const std::span<const std::uint32_t>* nodes,
+    std::uint64_t generation) {
   if (nodes != nullptr && nodes->empty()) return {};
+  // Bad arguments are refused before anything is pushed or booked, so a
+  // refused call leaves the channel, the ledger and the resident inputs as
+  // they were. The node count is public: the features have one row each.
+  const std::size_t n = private_adj_csr_->rows();
+  if (nodes != nullptr) {
+    for (const auto v : *nodes) GV_CHECK(v < n, "query node out of range");
+  }
+  const auto required = vault_.rectifier->required_backbone_layers();
+  for (const auto idx : required) {
+    GV_CHECK(idx < outputs.size(), "backbone output index out of range");
+    GV_CHECK(outputs[idx].rows() == n, "backbone output covers a different node count");
+  }
   std::lock_guard<std::mutex> infer_lock(*infer_mu_);
   GV_RANK_SCOPE(lockrank::kDeployment);
 
   // --- 2. Only the required embeddings cross the one-way channel. The FULL
   // matrices cross even for subset queries: restricting the transfer to the
   // queries' neighbourhood would require the untrusted side to know the
-  // private adjacency, which is exactly what GNNVault hides. -------------
-  const auto required = vault_.rectifier->required_backbone_layers();
-  auto sender = channel_.sender();
-  for (const auto idx : required) {
-    GV_CHECK(idx < outputs.size(), "backbone output index out of range");
-    sender.push(outputs[idx]);
+  // private adjacency, which is exactly what GNNVault hides. A served
+  // snapshot's matrices cross once and stay resident, so what is sent never
+  // depends on the queries either. -----------------------------------------
+  const bool resident = generation != 0 && generation == inputs_generation_;
+  if (!resident) {
+    // The previous generation leaves before this one is staged, so the two
+    // never share the EPC.
+    release_inputs();
+    auto sender = channel_.sender();
+    for (const auto idx : required) sender.push(outputs[idx]);
   }
 
   // --- 3+4. Rectifier inside the enclave; label-only output. -------------
   return enclave_.ecall([&] {
-    auto receiver = channel_.receiver();
-    std::vector<Matrix> enclave_inputs(outputs.size());
-    for (const auto idx : required) {
-      enclave_inputs[idx] = receiver.pop();
-      enclave_.memory().set("rect.input." + std::to_string(idx),
-                            enclave_inputs[idx].payload_bytes());
+    if (!resident) {
+      auto receiver = channel_.receiver();
+      inputs_.resize(outputs.size());
+      for (const auto idx : required) {
+        inputs_[idx] = receiver.pop();
+        enclave_.memory().set("rect.input." + std::to_string(idx),
+                              inputs_[idx].payload_bytes());
+      }
+      inputs_generation_ = generation;
     }
     std::vector<std::uint32_t> labels;
     std::size_t act_entries = 0;
     if (nodes == nullptr) {
-      const std::size_t n = enclave_inputs[required.front()].rows();
       const auto act_bytes = vault_.rectifier->activation_bytes(n);
       for (std::size_t k = 0; k < act_bytes.size(); ++k) {
         enclave_.memory().set("rect.act." + std::to_string(k), act_bytes[k]);
       }
       act_entries = act_bytes.size();
-      const Matrix logits =
-          vault_.rectifier->forward(enclave_inputs, /*training=*/false);
+      const Matrix logits = vault_.rectifier->forward(inputs_, /*training=*/false);
       // Label-only: argmax happens inside the enclave; logits never leave.
       labels = argmax_rows(logits);
     } else {
       // Subset path: only the queries' multi-hop frontier is computed.
       std::vector<std::size_t> layer_rows;
       const Matrix logits =
-          vault_.rectifier->forward_subset(enclave_inputs, *nodes, &layer_rows);
+          vault_.rectifier->forward_subset(inputs_, *nodes, &layer_rows);
       const auto& channels = vault_.rectifier->config().channels;
       for (std::size_t k = 0; k < layer_rows.size(); ++k) {
         enclave_.memory().set("rect.act." + std::to_string(k),
@@ -127,10 +154,9 @@ std::vector<std::uint32_t> VaultDeployment::secure_infer(
       act_entries = layer_rows.size();
       labels = argmax_rows(logits);
     }
-    // Transient buffers are released before the ecall returns.
-    for (const auto idx : required) {
-      enclave_.memory().free("rect.input." + std::to_string(idx));
-    }
+    // Transient buffers are released before the ecall returns; a one-shot
+    // call's inputs are transient too.
+    if (generation == 0) release_inputs();
     for (std::size_t k = 0; k < act_entries; ++k) {
       enclave_.memory().free("rect.act." + std::to_string(k));
     }

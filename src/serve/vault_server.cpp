@@ -16,6 +16,11 @@ VaultServer::VaultServer(const Dataset& ds, TrainedVault vault,
   // The front end's threads are already up, but no query can reach the
   // backend until this constructor returns the server to a caller.
   snap_->features = ds.features;
+  {
+    std::lock_guard<std::mutex> lock(snap_mu_);
+    GV_RANK_SCOPE(lockrank::kServerSnap);
+    snap_->generation = 1;
+  }
   // EngineScope: attribute this engine's metered usage to its tenant.  A
   // single-enclave server has no attested channels, so the channel columns
   // stay zero.
@@ -72,9 +77,12 @@ ServeBackend::BatchResult VaultServer::execute(
     // run it once and serve every batch from the embeddings.
     snap->outputs = deployment_.run_backbone(snap->features);
   });
-  // The whole batch rides ONE ecall; only its labels come back.
+  // The whole batch rides ONE ecall; only its labels come back.  The
+  // snapshot's embeddings are pushed only if the enclave does not hold its
+  // generation already.
   const auto ecall_start = std::chrono::steady_clock::now();
-  const auto out = deployment_.infer_labels_batched(snap->outputs, nodes);
+  const auto out =
+      deployment_.infer_labels_batched(snap->outputs, nodes, snap->generation);
   record_query_stage(QueryStage::kEcall,
                      std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - ecall_start)
@@ -98,6 +106,7 @@ void VaultServer::update_features(const CsrMatrix& new_features) {
     GV_RANK_SCOPE(lockrank::kServerSnap);
     GV_CHECK(new_features.cols() == snap_->features.cols(),
              "feature update must keep the feature dimension");
+    fresh->generation = snap_->generation + 1;
     snap_ = std::move(fresh);
   }
   // Digest-based invalidation: entries for rows that actually changed are

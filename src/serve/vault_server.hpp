@@ -16,9 +16,12 @@
 //                     SubmitTokens resolve with label-only results
 //
 // The public backbone runs ONCE per feature snapshot (untrusted-side cache
-// of its embeddings); each flushed batch then costs one embedding push plus
-// one ecall, so the fixed SGX costs amortize across the batch (the paper's
-// Sec. III-C overhead analysis is exactly the cost this removes).  A small
+// of its embeddings), and its required matrices cross into the enclave once
+// per snapshot too: each snapshot carries a generation, and the deployment
+// keeps the last generation's matrices resident.  A flushed batch of the
+// resident snapshot then costs one ecall and no push, so the fixed SGX
+// costs amortize across batches (the paper's Sec. III-C overhead analysis
+// is exactly the cost this removes).  A small
 // LRU label cache short-circuits repeat queries before they ever enqueue;
 // duplicate queries already in flight share one batch slot and fan the
 // result out to every waiting token.  update_features() swaps in a new
@@ -68,7 +71,8 @@ class VaultServer : private ServeBackend {
   std::uint32_t query(std::uint32_t node) { return frontend_.query(node); }
 
   /// Swap in a new feature snapshot (same node set and feature dim): the
-  /// backbone embeddings recompute lazily on the next batch, and cached
+  /// backbone embeddings recompute lazily on the next batch, which pushes
+  /// them into the enclave once for the new generation, and cached
   /// labels whose feature-row digest changed are evicted.  Requests already
   /// queued resolve against the NEW snapshot.
   void update_features(const CsrMatrix& new_features);
@@ -93,9 +97,12 @@ class VaultServer : private ServeBackend {
  private:
   /// One immutable feature snapshot plus its lazily computed backbone
   /// embeddings; batches pin the snapshot they were executed against, so
-  /// update_features never races an in-flight batch.
+  /// update_features never races an in-flight batch.  `generation` (stamped
+  /// under snap_mu_, one higher per update) tells the deployment which
+  /// resident embeddings belong to this snapshot.
   struct Snapshot {
     CsrMatrix features;
+    std::uint64_t generation = 0;
     std::once_flag backbone_once;
     std::vector<Matrix> outputs;
   };

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "data/synthetic.hpp"
 
 namespace gv {
@@ -103,6 +105,115 @@ TEST(Deployment, TransientBuffersFreedAfterInference) {
   // Inputs/activations are transient; only weights+graph stay resident.
   EXPECT_EQ(dep.enclave_current_bytes(), resident);
   EXPECT_GT(dep.enclave_peak_bytes(), resident);
+}
+
+/// `features` with its rows in reverse order: a second snapshot of the same
+/// shape whose labels differ from the original's.
+CsrMatrix reversed_rows(const CsrMatrix& features) {
+  std::vector<CooEntry> entries;
+  const auto n = static_cast<std::uint32_t>(features.rows());
+  for (std::uint32_t r = 0; r < n; ++r) {
+    for (std::int64_t i = features.row_ptr()[r]; i < features.row_ptr()[r + 1]; ++i) {
+      entries.push_back({n - 1 - r, features.col_idx()[i], features.values()[i]});
+    }
+  }
+  return CsrMatrix::from_coo(features.rows(), features.cols(), entries);
+}
+
+std::vector<std::uint32_t> gather(const std::vector<std::uint32_t>& labels,
+                                  const std::vector<std::uint32_t>& nodes) {
+  std::vector<std::uint32_t> out;
+  for (const auto v : nodes) out.push_back(labels[v]);
+  return out;
+}
+
+TEST(Deployment, ResidentInputsCrossOncePerGeneration) {
+  const Dataset ds = deploy_dataset(10);
+  TrainedVault tv = quick_vault(ds, RectifierKind::kParallel);
+  const CsrMatrix other = reversed_rows(ds.features);
+  const std::vector<std::uint32_t> nodes = {3, 40, 41, 150, 299};
+  const auto truth_a = gather(tv.predict_rectified(ds.features), nodes);
+  const auto truth_b = gather(tv.predict_rectified(other), nodes);
+  ASSERT_NE(truth_a, truth_b) << "the two snapshots must be distinguishable";
+  VaultDeployment dep(ds, std::move(tv), {});
+  const auto outputs_a = dep.run_backbone(ds.features);
+  const auto outputs_b = dep.run_backbone(other);
+  std::uint64_t push_bytes = 0;
+  for (const auto idx : dep.vault().rectifier->required_backbone_layers()) {
+    push_bytes += outputs_a[idx].payload_bytes();
+  }
+
+  struct Call {
+    std::uint64_t generation;
+    const std::vector<Matrix>* outputs;
+    const std::vector<std::uint32_t>* truth;
+    std::uint64_t pushed;
+  };
+  const Call calls[] = {{1, &outputs_a, &truth_a, push_bytes},
+                        {1, &outputs_a, &truth_a, 0},
+                        {2, &outputs_b, &truth_b, push_bytes},
+                        {1, &outputs_a, &truth_a, push_bytes}};
+  std::size_t peak_after_first = 0;
+  for (std::size_t i = 0; i < std::size(calls); ++i) {
+    const auto bytes_before = dep.meter().bytes_in;
+    EXPECT_EQ(dep.infer_labels_batched(*calls[i].outputs, nodes, calls[i].generation),
+              *calls[i].truth)
+        << "call " << i + 1;
+    EXPECT_EQ(dep.meter().bytes_in - bytes_before, calls[i].pushed) << "call " << i + 1;
+    if (i == 0) peak_after_first = dep.enclave_peak_bytes();
+  }
+  // Each generation's inputs left before the next was staged.
+  EXPECT_EQ(dep.enclave_peak_bytes(), peak_after_first);
+}
+
+TEST(Deployment, OneShotCallReleasesResidentInputs) {
+  const Dataset ds = deploy_dataset(11);
+  VaultDeployment dep(ds, quick_vault(ds, RectifierKind::kCascaded), {});
+  const auto weights_and_graph = dep.enclave_current_bytes();
+  const auto outputs = dep.run_backbone(ds.features);
+  const std::vector<std::uint32_t> nodes = {7, 8};
+  dep.infer_labels_batched(outputs, nodes, 5);
+  EXPECT_GT(dep.enclave_current_bytes(), weights_and_graph);
+  const auto peak = dep.enclave_peak_bytes();
+  dep.infer_labels_batched(outputs, nodes);
+  EXPECT_EQ(dep.enclave_current_bytes(), weights_and_graph);
+  EXPECT_EQ(dep.enclave_peak_bytes(), peak);
+  // Generation 5 is no longer resident: it crosses again.
+  const auto bytes_before = dep.meter().bytes_in;
+  dep.infer_labels_batched(outputs, nodes, 5);
+  EXPECT_GT(dep.meter().bytes_in, bytes_before);
+}
+
+TEST(Deployment, OutOfRangeQueryRefusedBeforePush) {
+  const Dataset ds = deploy_dataset(12);
+  VaultDeployment dep(ds, quick_vault(ds, RectifierKind::kParallel), {});
+  const std::vector<std::uint32_t> bad = {1, 100000};
+
+  // Nothing resident: the refused call books nothing and pushes nothing.
+  dep.reset_meter();
+  const auto idle_bytes = dep.enclave_current_bytes();
+  EXPECT_THROW(dep.infer_labels_subset(ds.features, bad), Error);
+  EXPECT_EQ(dep.enclave_current_bytes(), idle_bytes);
+  EXPECT_EQ(dep.meter().bytes_in, 0u);
+  EXPECT_EQ(dep.meter().ecalls, 0u);
+
+  // Generation 1 resident: a refused call keeps it resident.
+  const auto outputs = dep.run_backbone(ds.features);
+  const std::vector<std::uint32_t> good = {1, 2};
+  const auto labels = dep.infer_labels_batched(outputs, good, 1);
+  const auto resident_bytes = dep.enclave_current_bytes();
+  const auto pushed = dep.meter().bytes_in;
+  EXPECT_THROW(dep.infer_labels_batched(outputs, bad, 1), Error);
+  EXPECT_THROW(dep.infer_labels_batched(outputs, bad, 2), Error);
+  EXPECT_THROW(dep.infer_labels_subset(ds.features, bad), Error);
+  // Embeddings of another node count are refused the same way.
+  std::vector<Matrix> truncated;
+  for (const auto& m : outputs) truncated.emplace_back(m.rows() - 1, m.cols());
+  EXPECT_THROW(dep.infer_labels_batched(truncated, good, 2), Error);
+  EXPECT_EQ(dep.enclave_current_bytes(), resident_bytes);
+  EXPECT_EQ(dep.meter().bytes_in, pushed);
+  EXPECT_EQ(dep.infer_labels_batched(outputs, good, 1), labels);
+  EXPECT_EQ(dep.meter().bytes_in, pushed);
 }
 
 TEST(Deployment, UnprotectedTimerIsPositive) {

@@ -2,6 +2,8 @@
 // invalidates cached labels by feature-row digest.
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "serve/label_cache.hpp"
 #include "serve/vault_server.hpp"
 #include "serve_test_util.hpp"
@@ -109,6 +111,50 @@ TEST(VaultServer, QueuedRequestsResolveAgainstNewSnapshot) {
   server.flush();
   // The batch executed after the swap: it pinned the NEW snapshot.
   EXPECT_EQ(fut.get(), new_truth[6]);
+}
+
+TEST(VaultServer, EachSnapshotCrossesIntoTheEnclaveOnce) {
+  const Dataset ds = serve_dataset(60);
+  TrainedVault tv = serve_vault(ds);
+  ServerConfig cfg;
+  cfg.max_batch = 8;
+  cfg.max_wait = std::chrono::seconds(30);  // batches cut by max_batch or flush()
+  cfg.cache_capacity = 0;
+  VaultServer server(ds, tv, {}, cfg);
+
+  CsrMatrix mutated = ds.features;
+  for (auto& v : mutated.mutable_values()) v *= 0.25f;
+  const auto old_truth = tv.predict_rectified(ds.features);
+  const auto new_truth = tv.predict_rectified(mutated);
+  const auto outputs = tv.backbone_outputs(ds.features);
+  std::uint64_t push_bytes = 0;
+  for (const auto idx : tv.rectifier->required_backbone_layers()) {
+    push_bytes += outputs[idx].payload_bytes();
+  }
+
+  std::vector<std::uint32_t> nodes(40);
+  std::iota(nodes.begin(), nodes.end(), 0u);
+  const auto serve_all = [&] {
+    auto batch = server.submit_many(nodes);
+    server.flush();
+    return batch.get_all();
+  };
+  const auto gather = [&](const std::vector<std::uint32_t>& truth) {
+    std::vector<std::uint32_t> out;
+    for (const auto v : nodes) out.push_back(truth[v]);
+    return out;
+  };
+
+  server.reset_stats();
+  EXPECT_EQ(serve_all(), gather(old_truth));
+  EXPECT_EQ(serve_all(), gather(old_truth));
+  EXPECT_GE(server.stats().batches, 10u);
+  EXPECT_EQ(server.stats().bytes_in, push_bytes);
+
+  server.update_features(mutated);
+  EXPECT_EQ(serve_all(), gather(new_truth));
+  EXPECT_EQ(serve_all(), gather(new_truth));
+  EXPECT_EQ(server.stats().bytes_in, 2 * push_bytes);
 }
 
 TEST(VaultServer, RejectsShapeChangingUpdates) {

@@ -293,7 +293,10 @@ TEST(ReplicaPromotion, UpdateFeaturesRacingFailoverFilesFreshLabels) {
 
   const std::uint32_t victim = server.deployment().owner(5);
   // Warm the cache against the old snapshot, then park a batch mid-queue.
-  EXPECT_EQ(server.query(5), old_truth[5]);
+  // Misses are released with flush() rather than left to max_wait.
+  auto warm = server.submit(5);
+  server.flush();
+  EXPECT_EQ(warm.get(), old_truth[5]);
   auto parked = server.submit(6);
   server.kill_shard(victim);       // fence + async promotion
   server.update_features(mutated); // joins the promotion, then re-refreshes
@@ -303,7 +306,9 @@ TEST(ReplicaPromotion, UpdateFeaturesRacingFailoverFilesFreshLabels) {
   EXPECT_EQ(parked.get(), new_truth[6]);
   // Cache probes under the new digests see only new-snapshot labels (a
   // stale entry would be a digest mismatch and self-evict).
-  EXPECT_EQ(server.query(5), new_truth[5]);
+  auto fresh = server.submit(5);
+  server.flush();
+  EXPECT_EQ(fresh.get(), new_truth[5]);
   EXPECT_EQ(server.query(6), new_truth[6]);
   EXPECT_EQ(server.stats().promotions, 1u);
 }
