@@ -114,9 +114,10 @@ int main(int argc, char** argv) {
   table.write_csv(out_dir() + "/shard_scaling.csv");
 
   // Reference: the one-shot per-batch single-enclave path (no label
-  // materialization): every batch stages the full embedding matrices.
-  // VaultServer, which serves fitting tenants, stages them once per
-  // feature snapshot instead, so this is an upper bound on its cost.
+  // materialization): every batch stages the full embedding matrices and
+  // computes its frontier. VaultServer, which serves fitting tenants,
+  // labels each feature snapshot once and answers later batches by lookup,
+  // so this is an upper bound on its cost.
   {
     DeploymentOptions dopts;
     dopts.cost_model = model;

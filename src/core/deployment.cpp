@@ -75,22 +75,13 @@ std::vector<std::uint32_t> VaultDeployment::infer_labels_batched(
   return secure_infer(backbone_outputs, &nodes, generation);
 }
 
-void VaultDeployment::release_inputs() {
-  for (std::size_t idx = 0; idx < inputs_.size(); ++idx) {
-    if (inputs_[idx].empty()) continue;
-    enclave_.memory().free("rect.input." + std::to_string(idx));
-  }
-  inputs_.clear();
-  inputs_generation_ = 0;
-}
-
 std::vector<std::uint32_t> VaultDeployment::secure_infer(
     const std::vector<Matrix>& outputs, const std::span<const std::uint32_t>* nodes,
     std::uint64_t generation) {
   if (nodes != nullptr && nodes->empty()) return {};
   // Bad arguments are refused before anything is pushed or booked, so a
-  // refused call leaves the channel, the ledger and the resident inputs as
-  // they were. The node count is public: the features have one row each.
+  // refused call leaves the channel, the ledger and the kept labels as they
+  // were. The node count is public: the features have one row each.
   const std::size_t n = private_adj_csr_->rows();
   if (nodes != nullptr) {
     for (const auto v : *nodes) GV_CHECK(v < n, "query node out of range");
@@ -103,64 +94,75 @@ std::vector<std::uint32_t> VaultDeployment::secure_infer(
   std::lock_guard<std::mutex> infer_lock(*infer_mu_);
   GV_RANK_SCOPE(lockrank::kDeployment);
 
+  const auto lookup = [&](const std::vector<std::uint32_t>& all) {
+    std::vector<std::uint32_t> labels;
+    labels.reserve(nodes->size());
+    for (const auto v : *nodes) labels.push_back(all[v]);
+    return labels;
+  };
+  // A labelled snapshot's batch only copies its queries' labels out: the
+  // ecall does the same work for any query, whatever its neighbourhood.
+  if (generation != 0 && generation == labels_generation_) {
+    return enclave_.ecall([&] { return lookup(labels_); });
+  }
+  // The previous snapshot's labels leave before this call books anything.
+  if (labels_generation_ != 0) {
+    enclave_.memory().free("rect.labels");
+    labels_ = {};
+    labels_generation_ = 0;
+  }
+
   // --- 2. Only the required embeddings cross the one-way channel. The FULL
   // matrices cross even for subset queries: restricting the transfer to the
   // queries' neighbourhood would require the untrusted side to know the
   // private adjacency, which is exactly what GNNVault hides. A served
-  // snapshot's matrices cross once and stay resident, so what is sent never
-  // depends on the queries either. -----------------------------------------
-  const bool resident = generation != 0 && generation == inputs_generation_;
-  if (!resident) {
-    // The previous generation leaves before this one is staged, so the two
-    // never share the EPC.
-    release_inputs();
-    auto sender = channel_.sender();
-    for (const auto idx : required) sender.push(outputs[idx]);
-  }
+  // snapshot's matrices cross once, so what is sent never depends on the
+  // queries either. -----------------------------------------------------
+  auto sender = channel_.sender();
+  for (const auto idx : required) sender.push(outputs[idx]);
 
   // --- 3+4. Rectifier inside the enclave; label-only output. -------------
   return enclave_.ecall([&] {
-    if (!resident) {
-      auto receiver = channel_.receiver();
-      inputs_.resize(outputs.size());
-      for (const auto idx : required) {
-        inputs_[idx] = receiver.pop();
-        enclave_.memory().set("rect.input." + std::to_string(idx),
-                              inputs_[idx].payload_bytes());
-      }
-      inputs_generation_ = generation;
+    auto receiver = channel_.receiver();
+    std::vector<Matrix> inputs(outputs.size());
+    for (const auto idx : required) {
+      inputs[idx] = receiver.pop();
+      enclave_.memory().set("rect.input." + std::to_string(idx),
+                            inputs[idx].payload_bytes());
     }
-    std::vector<std::uint32_t> labels;
-    std::size_t act_entries = 0;
-    if (nodes == nullptr) {
-      const auto act_bytes = vault_.rectifier->activation_bytes(n);
+    Matrix logits;
+    std::vector<std::size_t> act_bytes;
+    if (nodes == nullptr || generation != 0) {
+      act_bytes = vault_.rectifier->activation_bytes(n);
       for (std::size_t k = 0; k < act_bytes.size(); ++k) {
         enclave_.memory().set("rect.act." + std::to_string(k), act_bytes[k]);
       }
-      act_entries = act_bytes.size();
-      const Matrix logits = vault_.rectifier->forward(inputs_, /*training=*/false);
-      // Label-only: argmax happens inside the enclave; logits never leave.
-      labels = argmax_rows(logits);
+      logits = vault_.rectifier->forward(inputs, /*training=*/false);
     } else {
-      // Subset path: only the queries' multi-hop frontier is computed.
+      // One-shot subset: only the queries' multi-hop frontier is computed.
       std::vector<std::size_t> layer_rows;
-      const Matrix logits =
-          vault_.rectifier->forward_subset(inputs_, *nodes, &layer_rows);
+      logits = vault_.rectifier->forward_subset(inputs, *nodes, &layer_rows);
       const auto& channels = vault_.rectifier->config().channels;
       for (std::size_t k = 0; k < layer_rows.size(); ++k) {
-        enclave_.memory().set("rect.act." + std::to_string(k),
-                              layer_rows[k] * channels[k] * sizeof(float));
+        act_bytes.push_back(layer_rows[k] * channels[k] * sizeof(float));
+        enclave_.memory().set("rect.act." + std::to_string(k), act_bytes[k]);
       }
-      act_entries = layer_rows.size();
-      labels = argmax_rows(logits);
     }
-    // Transient buffers are released before the ecall returns; a one-shot
-    // call's inputs are transient too.
-    if (generation == 0) release_inputs();
-    for (std::size_t k = 0; k < act_entries; ++k) {
+    // Label-only: argmax happens inside the enclave; logits never leave.
+    auto labels = argmax_rows(logits);
+    // Inputs and activations are transient: released before the ecall
+    // returns, whatever the generation.
+    for (const auto idx : required) {
+      enclave_.memory().free("rect.input." + std::to_string(idx));
+    }
+    for (std::size_t k = 0; k < act_bytes.size(); ++k) {
       enclave_.memory().free("rect.act." + std::to_string(k));
     }
-    return labels;
+    if (generation == 0) return labels;
+    labels_ = std::move(labels);
+    labels_generation_ = generation;
+    enclave_.memory().set("rect.labels", labels_.size() * sizeof(std::uint32_t));
+    return lookup(labels_);
   });
 }
 

@@ -5,13 +5,14 @@
 // degree terms) are sealed and only ever exist in the clear inside the
 // enclave.  At inference time:
 //   1. the backbone runs in the normal world (GPU/CPU — here CPU);
-//   2. only the embeddings the rectifier needs cross the one-way channel
-//      (when serving, once per feature snapshot: they stay resident in the
-//      enclave until a batch of a different snapshot arrives);
+//   2. only the embeddings the rectifier needs cross the one-way channel;
 //   3. the rectifier runs inside an ecall, with every intermediate kept in
 //      enclave memory;
 //   4. ONLY the predicted class labels leave the enclave (label-only
 //      output: logits carry link/membership signal, Sec. IV-E).
+// When serving, steps 2-3 run once per feature snapshot: the first batch of
+// a snapshot labels every node inside the enclave and keeps only those
+// labels there, and every later batch of that snapshot is a label lookup.
 #pragma once
 
 #include <memory>
@@ -57,10 +58,12 @@ class VaultDeployment {
   /// Serving path: one ecall for a whole batch of node queries, reusing
   /// backbone outputs the caller computed (and may cache across batches).
   /// A non-zero `generation` names the feature snapshot the outputs came
-  /// from (never reuse one for other outputs): its matrices stay resident
-  /// after the call, so later calls of that generation push nothing. Any
-  /// other generation first releases them; 0 is one-shot (push, compute,
-  /// release).
+  /// from (never reuse one for other outputs). Its first call pushes the
+  /// required matrices, labels every node inside the enclave and keeps only
+  /// those labels there; later calls of that generation push nothing and
+  /// copy out just the queried labels. A call of any other generation
+  /// first drops the kept labels; 0 is one-shot (push, compute the queries'
+  /// frontier, release).
   std::vector<std::uint32_t> infer_labels_batched(
       const std::vector<Matrix>& backbone_outputs,
       std::span<const std::uint32_t> nodes, std::uint64_t generation = 0);
@@ -94,33 +97,31 @@ class VaultDeployment {
 
  private:
   void provision_enclave(const Dataset& ds);
-  /// Shared secure path: push required embeddings unless `generation` is
-  /// resident, one ecall, label-only output. `nodes` == nullptr -> all rows.
+  /// Shared secure path: one ecall, label-only output. `nodes` == nullptr
+  /// -> all rows. Looks the queries up when `generation` is the labelled
+  /// snapshot; otherwise pushes the required embeddings and computes.
   std::vector<std::uint32_t> secure_infer(const std::vector<Matrix>& backbone_outputs,
                                           const std::span<const std::uint32_t>* nodes,
                                           std::uint64_t generation);
-  /// Drop the resident backbone matrices and their ledger entries (caller
-  /// holds infer_mu_).
-  void release_inputs();
 
   TrainedVault vault_;
   DeploymentOptions opts_;
   Enclave enclave_;
   OneWayChannel channel_;
   /// Serializes the push-then-ecall pair so concurrent server workers cannot
-  /// interleave their staged blocks, and guards the resident inputs (owned
-  /// via pointer to stay movable).
+  /// interleave their staged blocks, and guards the kept labels (owned via
+  /// pointer to stay movable).
   std::unique_ptr<std::mutex> infer_mu_ GV_LOCK_RANK(gv::lockrank::kDeployment) =
       std::make_unique<std::mutex>();
   // Enclave-held state (only touched inside ecalls).
   CooAdjacency private_coo_;
   std::shared_ptr<const CsrMatrix> private_adj_csr_;
   SealedBlob sealed_weights_;
-  // The last staged backbone matrices and their generation (0: none),
-  // guarded by infer_mu_. release_inputs() may run outside an ecall: it
-  // only discards enclave state.
-  std::vector<Matrix> inputs_;
-  std::uint64_t inputs_generation_ = 0;
+  // Every node's label under the snapshot `labels_generation_` (0: none),
+  // guarded by infer_mu_. They may be dropped outside an ecall: that only
+  // discards enclave state.
+  GV_SECRET std::vector<std::uint32_t> labels_;
+  std::uint64_t labels_generation_ = 0;
 };
 
 /// Wall-clock seconds of one unprotected CPU inference of `model` (the

@@ -178,9 +178,9 @@ std::size_t Rectifier::parameter_count() const {
   return n;
 }
 
-Matrix Rectifier::build_layer_input(std::size_t k,
-                                    const std::vector<Matrix>& backbone_outputs,
-                                    const Matrix& prev) const {
+const Matrix& Rectifier::build_layer_input(std::size_t k,
+                                           const std::vector<Matrix>& backbone_outputs,
+                                           const Matrix& prev, Matrix& concat) const {
   auto bb = [&](std::size_t i) -> const Matrix& {
     GV_CHECK(i < backbone_outputs.size(), "missing backbone output");
     GV_CHECK(!backbone_outputs[i].empty(), "required backbone output is empty");
@@ -190,13 +190,16 @@ Matrix Rectifier::build_layer_input(std::size_t k,
   };
   switch (cfg_.kind) {
     case RectifierKind::kParallel:
-      return k == 0 ? bb(0) : Matrix::hconcat(bb(k), prev);
+      if (k == 0) return bb(0);
+      concat = Matrix::hconcat(bb(k), prev);
+      return concat;
     case RectifierKind::kCascaded: {
       if (k > 0) return prev;
       std::vector<const Matrix*> blocks;
       blocks.reserve(backbone_dims_.size());
       for (std::size_t i = 0; i < backbone_dims_.size(); ++i) blocks.push_back(&bb(i));
-      return Matrix::hconcat(std::span<const Matrix* const>(blocks.data(), blocks.size()));
+      concat = Matrix::hconcat(std::span<const Matrix* const>(blocks.data(), blocks.size()));
+      return concat;
     }
     case RectifierKind::kSeries:
       return k == 0 ? bb(backbone_dims_.size() >= 2 ? backbone_dims_.size() - 2 : 0)
@@ -207,16 +210,15 @@ Matrix Rectifier::build_layer_input(std::size_t k,
 
 Matrix Rectifier::forward(const std::vector<Matrix>& backbone_outputs, bool training) {
   pre_activations_.clear();
-  post_activations_.clear();
   masks_.clear();
   trained_forward_ = training;
-  cached_backbone_outputs_ = &backbone_outputs;
 
   Matrix h;
+  Matrix concat;
   for (std::size_t k = 0; k < layers_.size(); ++k) {
     const bool last = (k + 1 == layers_.size());
-    const Matrix input = build_layer_input(k, backbone_outputs, h);
-    Matrix z = layers_[k].forward(*adj_, input, training);
+    Matrix z = layers_[k].forward(
+        *adj_, build_layer_input(k, backbone_outputs, h, concat), training);
     if (training) pre_activations_.push_back(z);
     if (!last) {
       h = relu(z);
@@ -224,11 +226,10 @@ Matrix Rectifier::forward(const std::vector<Matrix>& backbone_outputs, bool trai
         masks_.push_back(dropout_forward(h, cfg_.dropout, dropout_rng_));
       }
     } else {
-      h = z;
+      h = std::move(z);
     }
-    post_activations_.push_back(h);
   }
-  return post_activations_.back();
+  return h;
 }
 
 Matrix Rectifier::forward_subset(const std::vector<Matrix>& backbone_outputs,

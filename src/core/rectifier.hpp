@@ -114,9 +114,11 @@ class Rectifier {
   std::size_t layer_input_dim(std::size_t k) const;
 
  private:
-  Matrix build_layer_input(std::size_t k,
-                           const std::vector<Matrix>& backbone_outputs,
-                           const Matrix& prev) const;
+  /// Layer k's input: a backbone output or `prev` passed through, or a
+  /// concatenation built into `concat`.
+  const Matrix& build_layer_input(std::size_t k,
+                                  const std::vector<Matrix>& backbone_outputs,
+                                  const Matrix& prev, Matrix& concat) const;
   std::vector<std::uint32_t> expand_frontier(const std::vector<std::uint32_t>& rows);
   CsrMatrix gather_sub_adjacency(const std::vector<std::uint32_t>& rows,
                                  const std::vector<std::uint32_t>& cols);
@@ -129,9 +131,7 @@ class Rectifier {
 
   // Cached training state.
   std::vector<Matrix> pre_activations_;
-  std::vector<Matrix> post_activations_;
   std::vector<DropoutMask> masks_;
-  const std::vector<Matrix>* cached_backbone_outputs_ = nullptr;
   bool trained_forward_ = false;
 
   // Reusable O(n) scratch for subset inference, so per-query cost tracks the

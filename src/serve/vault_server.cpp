@@ -78,8 +78,8 @@ ServeBackend::BatchResult VaultServer::execute(
     snap->outputs = deployment_.run_backbone(snap->features);
   });
   // The whole batch rides ONE ecall; only its labels come back.  The
-  // snapshot's embeddings are pushed only if the enclave does not hold its
-  // generation already.
+  // snapshot's embeddings are pushed and labelled only if the enclave does
+  // not hold its generation's labels already.
   const auto ecall_start = std::chrono::steady_clock::now();
   const auto out =
       deployment_.infer_labels_batched(snap->outputs, nodes, snap->generation);

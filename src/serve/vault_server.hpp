@@ -16,12 +16,13 @@
 //                     SubmitTokens resolve with label-only results
 //
 // The public backbone runs ONCE per feature snapshot (untrusted-side cache
-// of its embeddings), and its required matrices cross into the enclave once
-// per snapshot too: each snapshot carries a generation, and the deployment
-// keeps the last generation's matrices resident.  A flushed batch of the
-// resident snapshot then costs one ecall and no push, so the fixed SGX
-// costs amortize across batches (the paper's Sec. III-C overhead analysis
-// is exactly the cost this removes).  A small
+// of its embeddings), and the rectifier runs once per snapshot too: each
+// snapshot carries a generation, and the snapshot's first batch pushes the
+// required matrices and labels every node inside the enclave, which keeps
+// only those labels.  Every later batch of the snapshot costs one ecall
+// that copies out its queries' labels, with no push and no tensor work, so
+// the fixed SGX costs amortize across batches (the paper's Sec. III-C
+// overhead analysis is exactly the cost this removes).  A small
 // LRU label cache short-circuits repeat queries before they ever enqueue;
 // duplicate queries already in flight share one batch slot and fan the
 // result out to every waiting token.  update_features() swaps in a new
@@ -72,9 +73,9 @@ class VaultServer : private ServeBackend {
 
   /// Swap in a new feature snapshot (same node set and feature dim): the
   /// backbone embeddings recompute lazily on the next batch, which pushes
-  /// them into the enclave once for the new generation, and cached
-  /// labels whose feature-row digest changed are evicted.  Requests already
-  /// queued resolve against the NEW snapshot.
+  /// them into the enclave and labels every node there once for the new
+  /// generation, and cached labels whose feature-row digest changed are
+  /// evicted.  Requests already queued resolve against the NEW snapshot.
   void update_features(const CsrMatrix& new_features);
 
   /// Force-flush pending requests without waiting for the deadline.
@@ -98,8 +99,8 @@ class VaultServer : private ServeBackend {
   /// One immutable feature snapshot plus its lazily computed backbone
   /// embeddings; batches pin the snapshot they were executed against, so
   /// update_features never races an in-flight batch.  `generation` (stamped
-  /// under snap_mu_, one higher per update) tells the deployment which
-  /// resident embeddings belong to this snapshot.
+  /// under snap_mu_, one higher per update) tells the deployment whether
+  /// the labels it keeps belong to this snapshot.
   struct Snapshot {
     CsrMatrix features;
     std::uint64_t generation = 0;

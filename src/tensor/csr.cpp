@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "tensor/gemm.hpp"
 
 namespace gv {
 
@@ -133,15 +134,16 @@ Matrix spmm(const CsrMatrix& a, const Matrix& b) {
 Matrix spmm_tn(const CsrMatrix& a, const Matrix& b) {
   GV_CHECK(a.rows() == b.rows(), "spmm_tn shape mismatch");
   const std::size_t n = a.rows(), m = a.cols(), k = b.cols();
-  Matrix c(m, k, 0.0f);
   const auto& rp = a.row_ptr();
   const auto& ci = a.col_idx();
   const auto& va = a.values();
-#pragma omp parallel
-  {
+  std::vector<Matrix> partials(kReductionPartials);
+  const auto parts = static_cast<std::ptrdiff_t>(kReductionPartials);
+#pragma omp parallel for schedule(static)
+  for (std::ptrdiff_t part = 0; part < parts; ++part) {
     Matrix local(m, k, 0.0f);
-#pragma omp for schedule(dynamic, 64) nowait
-    for (std::ptrdiff_t r = 0; r < static_cast<std::ptrdiff_t>(n); ++r) {
+    const std::size_t end = n * (part + 1) / kReductionPartials;
+    for (std::size_t r = n * part / kReductionPartials; r < end; ++r) {
       const float* brow = b.data() + r * k;
       for (std::int64_t p = rp[r]; p < rp[r + 1]; ++p) {
         const float av = va[p];
@@ -149,10 +151,12 @@ Matrix spmm_tn(const CsrMatrix& a, const Matrix& b) {
         for (std::size_t j = 0; j < k; ++j) crow[j] += av * brow[j];
       }
     }
-#pragma omp critical
-    c += local;
+    partials[part] = std::move(local);
   }
-  return c;
+  for (std::size_t part = 1; part < kReductionPartials; ++part) {
+    partials[0] += partials[part];
+  }
+  return std::move(partials[0]);
 }
 
 }  // namespace gv

@@ -1,5 +1,7 @@
 #include "tensor/gemm.hpp"
 
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace gv {
@@ -45,12 +47,13 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b) {
   // A is [k, m] stored row-major; result C[m, n] = sum_p A[p,i] * B[p,j].
   GV_CHECK(a.rows() == b.rows(), "matmul_tn shape mismatch");
   const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
-  Matrix c(m, n, 0.0f);
-#pragma omp parallel
-  {
+  std::vector<Matrix> partials(kReductionPartials);
+  const auto parts = static_cast<std::ptrdiff_t>(kReductionPartials);
+#pragma omp parallel for schedule(static)
+  for (std::ptrdiff_t part = 0; part < parts; ++part) {
     Matrix local(m, n, 0.0f);
-#pragma omp for schedule(static) nowait
-    for (std::ptrdiff_t p = 0; p < static_cast<std::ptrdiff_t>(k); ++p) {
+    const std::size_t end = k * (part + 1) / kReductionPartials;
+    for (std::size_t p = k * part / kReductionPartials; p < end; ++p) {
       const float* arow = a.data() + p * m;
       const float* brow = b.data() + p * n;
       for (std::size_t i = 0; i < m; ++i) {
@@ -60,10 +63,12 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b) {
         for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
       }
     }
-#pragma omp critical
-    c += local;
+    partials[part] = std::move(local);
   }
-  return c;
+  for (std::size_t part = 1; part < kReductionPartials; ++part) {
+    partials[0] += partials[part];
+  }
+  return std::move(partials[0]);
 }
 
 Matrix matmul_nt(const Matrix& a, const Matrix& b) {

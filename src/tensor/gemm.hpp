@@ -13,6 +13,12 @@ namespace gv {
 /// C = A[m,k] * B[k,n].
 Matrix matmul(const Matrix& a, const Matrix& b);
 
+/// The transposed products (matmul_tn, spmm_tn) reduce over the rows of A.
+/// They split those rows into this many fixed ranges, sum each range in row
+/// order (the ranges in parallel) and add the partial sums in index order,
+/// so their result depends on neither the thread count nor scheduling.
+inline constexpr std::size_t kReductionPartials = 4;
+
 /// C = A'[k,m]' * B[k,n]  i.e. result is [m,n] with A stored [k,m].
 Matrix matmul_tn(const Matrix& a, const Matrix& b);
 

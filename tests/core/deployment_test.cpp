@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <numeric>
 
 #include "data/synthetic.hpp"
 
@@ -214,6 +215,52 @@ TEST(Deployment, OutOfRangeQueryRefusedBeforePush) {
   EXPECT_EQ(dep.meter().bytes_in, pushed);
   EXPECT_EQ(dep.infer_labels_batched(outputs, good, 1), labels);
   EXPECT_EQ(dep.meter().bytes_in, pushed);
+}
+
+TEST(Deployment, ServedSnapshotLabelsEveryNodeLikeTheOracle) {
+  const Dataset ds = deploy_dataset(13);
+  const CsrMatrix other = reversed_rows(ds.features);
+  std::vector<std::uint32_t> all(ds.num_nodes());
+  std::iota(all.begin(), all.end(), 0u);
+  const std::vector<std::uint32_t> first = {5, 77, 5};
+  for (const auto kind :
+       {RectifierKind::kParallel, RectifierKind::kCascaded, RectifierKind::kSeries}) {
+    SCOPED_TRACE(rectifier_kind_name(kind));
+    TrainedVault tv = quick_vault(ds, kind);
+    const auto truth_a = tv.predict_rectified(ds.features);
+    const auto truth_b = tv.predict_rectified(other);
+    ASSERT_NE(truth_a, truth_b) << "the two snapshots must be distinguishable";
+    VaultDeployment dep(ds, std::move(tv), {});
+    const auto outputs_a = dep.run_backbone(ds.features);
+    const auto outputs_b = dep.run_backbone(other);
+    // The first call of each generation labels the snapshot; the second is
+    // a lookup answered from the kept labels.
+    EXPECT_EQ(dep.infer_labels_batched(outputs_a, first, 1), gather(truth_a, first));
+    EXPECT_EQ(dep.infer_labels_batched(outputs_a, all, 1), truth_a);
+    EXPECT_EQ(dep.infer_labels_batched(outputs_b, first, 2), gather(truth_b, first));
+    EXPECT_EQ(dep.infer_labels_batched(outputs_b, all, 2), truth_b);
+  }
+}
+
+TEST(Deployment, ServedSnapshotKeepsOnlyItsLabelsInTheEnclave) {
+  const Dataset ds = deploy_dataset(14);
+  VaultDeployment dep(ds, quick_vault(ds, RectifierKind::kParallel), {});
+  const auto outputs = dep.run_backbone(ds.features);
+  const std::vector<std::uint32_t> nodes = {0, 150, 299};
+  // A one-shot call leaves the idle state (its staging entry stays booked
+  // at zero bytes).
+  dep.infer_labels_batched(outputs, nodes);
+  const auto idle_bytes = dep.enclave_current_bytes();
+  const auto idle_entries = dep.enclave().memory().live_allocations();
+  const auto label_bytes = ds.num_nodes() * sizeof(std::uint32_t);
+  for (const std::uint64_t generation : {1, 1, 2}) {
+    dep.infer_labels_batched(outputs, nodes, generation);
+    // Only the label store stays: no rect.input.* or rect.act.* entry.
+    EXPECT_EQ(dep.enclave_current_bytes(), idle_bytes + label_bytes)
+        << "generation " << generation;
+    EXPECT_EQ(dep.enclave().memory().live_allocations(), idle_entries + 1)
+        << "generation " << generation;
+  }
 }
 
 TEST(Deployment, UnprotectedTimerIsPositive) {

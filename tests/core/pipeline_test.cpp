@@ -2,7 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "data/synthetic.hpp"
+
+// libgomp is not TSan-instrumented, so a multi-threaded OpenMP run under
+// TSan reports races inside the runtime.
+#if defined(__SANITIZE_THREAD__)
+#define GV_TEST_UNDER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define GV_TEST_UNDER_TSAN 1
+#endif
+#endif
 
 namespace gv {
 namespace {
@@ -109,6 +123,43 @@ TEST(Pipeline, DeterministicGivenSeed) {
   const TrainedVault b = train_vault(ds, fast_config());
   EXPECT_DOUBLE_EQ(a.backbone_test_accuracy, b.backbone_test_accuracy);
   EXPECT_DOUBLE_EQ(a.rectifier_test_accuracy, b.rectifier_test_accuracy);
+}
+
+/// Every trained weight as raw bytes: backbone matrices, backbone biases,
+/// then the rectifier's serialized weights.
+std::vector<std::uint8_t> weight_bytes(TrainedVault& tv) {
+  ParamRefs refs;
+  tv.backbone().collect_parameters(refs);
+  std::vector<std::uint8_t> out;
+  const auto put = [&](const float* p, std::size_t count) {
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(p);
+    out.insert(out.end(), bytes, bytes + count * sizeof(float));
+  };
+  for (const Parameter* w : refs.matrices) put(w->value.data(), w->value.size());
+  for (const VectorParameter* b : refs.vectors) put(b->value.data(), b->value.size());
+  const auto rect = tv.rectifier->serialize_weights();
+  out.insert(out.end(), rect.begin(), rect.end());
+  return out;
+}
+
+TEST(Pipeline, TrainedWeightsIndependentOfThreadCount) {
+#if !defined(_OPENMP)
+  GTEST_SKIP() << "built without OpenMP: training always runs on one thread";
+#elif defined(GV_TEST_UNDER_TSAN)
+  GTEST_SKIP() << "multi-threaded OpenMP is not checkable under TSan";
+#else
+  const Dataset ds = vault_dataset(11);
+  const int threads_before = omp_get_max_threads();
+  omp_set_num_threads(1);
+  TrainedVault one = train_vault(ds, fast_config());
+  omp_set_num_threads(4);
+  TrainedVault four = train_vault(ds, fast_config());
+  omp_set_num_threads(threads_before);
+  const auto one_bytes = weight_bytes(one);
+  EXPECT_FALSE(one_bytes.empty());
+  EXPECT_TRUE(one_bytes == weight_bytes(four))
+      << "weights trained on 1 and 4 OpenMP threads differ";
+#endif
 }
 
 TEST(Pipeline, PredictRectifiedMatchesReportedAccuracy) {

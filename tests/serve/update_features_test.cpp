@@ -157,6 +157,39 @@ TEST(VaultServer, EachSnapshotCrossesIntoTheEnclaveOnce) {
   EXPECT_EQ(server.stats().bytes_in, 2 * push_bytes);
 }
 
+TEST(VaultServer, ServedSnapshotHoldsOnlyItsLabelsInTheEnclave) {
+  const Dataset ds = serve_dataset(61);
+  TrainedVault tv = serve_vault(ds);
+  ServerConfig cfg;
+  cfg.max_batch = 16;
+  cfg.max_wait = std::chrono::seconds(30);  // batches cut by max_batch or flush()
+  cfg.cache_capacity = 0;
+  VaultServer server(ds, tv, {}, cfg);
+
+  CsrMatrix mutated = ds.features;
+  for (auto& v : mutated.mutable_values()) v *= 0.25f;
+  const auto old_truth = tv.predict_rectified(ds.features);
+  const auto new_truth = tv.predict_rectified(mutated);
+  ASSERT_NE(old_truth, new_truth) << "the two snapshots must be distinguishable";
+  std::vector<std::uint32_t> all(ds.num_nodes());
+  std::iota(all.begin(), all.end(), 0u);
+  const auto serve_all = [&] {
+    auto batch = server.submit_many(all);
+    server.flush();
+    return batch.get_all();
+  };
+  // Between batches the enclave holds the weights, the private graph and
+  // one label per node of the served snapshot.
+  const auto idle_bytes = server.deployment().enclave_current_bytes();
+  const auto label_bytes = ds.num_nodes() * sizeof(std::uint32_t);
+
+  EXPECT_EQ(serve_all(), old_truth);
+  EXPECT_EQ(server.deployment().enclave_current_bytes(), idle_bytes + label_bytes);
+  server.update_features(mutated);
+  EXPECT_EQ(serve_all(), new_truth);
+  EXPECT_EQ(server.deployment().enclave_current_bytes(), idle_bytes + label_bytes);
+}
+
 TEST(VaultServer, RejectsShapeChangingUpdates) {
   const Dataset ds = serve_dataset(59);
   VaultServer server(ds, serve_vault(ds), {}, {});
