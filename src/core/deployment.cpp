@@ -124,6 +124,9 @@ std::vector<std::uint32_t> VaultDeployment::secure_infer(
   // --- 3+4. Rectifier inside the enclave; label-only output. -------------
   return enclave_.ecall([&] {
     auto receiver = channel_.receiver();
+    // This call's blocks are the last ones pushed: any before them were
+    // staged for an ecall that failed before its body ran, and are stale.
+    while (receiver.pending() > required.size()) receiver.pop();
     std::vector<Matrix> inputs(outputs.size());
     for (const auto idx : required) {
       inputs[idx] = receiver.pop();

@@ -263,6 +263,28 @@ TEST(Deployment, ServedSnapshotKeepsOnlyItsLabelsInTheEnclave) {
   }
 }
 
+TEST(Deployment, FailedEcallLeavesNoStaleBlocks) {
+  const Dataset ds = deploy_dataset(15);
+  TrainedVault tv = quick_vault(ds, RectifierKind::kParallel);
+  const CsrMatrix other = reversed_rows(ds.features);
+  const auto truth_b = tv.predict_rectified(other);
+  VaultDeployment dep(ds, std::move(tv), {});
+  const auto outputs_a = dep.run_backbone(ds.features);
+  const auto outputs_b = dep.run_backbone(other);
+  std::vector<std::uint32_t> all(ds.num_nodes());
+  std::iota(all.begin(), all.end(), 0u);
+  dep.infer_labels_batched(outputs_a, all);
+  const auto idle_bytes = dep.enclave_current_bytes();
+  // The ecall fails after generation 1's blocks were staged.
+  dep.enclave().inject_ecall_failure("injected");
+  EXPECT_THROW(dep.infer_labels_batched(outputs_a, all, 1), EnclaveFailure);
+  // Generation 2 is labelled from its own embeddings, and nothing stays
+  // staged.
+  EXPECT_EQ(dep.infer_labels_batched(outputs_b, all, 2), truth_b);
+  EXPECT_EQ(dep.enclave_current_bytes(),
+            idle_bytes + ds.num_nodes() * sizeof(std::uint32_t));
+}
+
 TEST(Deployment, UnprotectedTimerIsPositive) {
   const Dataset ds = deploy_dataset(9);
   double porg = 0.0;
