@@ -1,14 +1,21 @@
 // google-benchmark microbenchmarks for the compute kernels that dominate
-// GNNVault inference, plus the SGX-simulator crypto (sealing path).
+// GNNVault inference and vault training, plus the SGX-simulator crypto
+// (sealing path).
+//
+//   ./bench_kernels --benchmark_format=json --benchmark_out=BENCH_kernels.json
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
+#include "core/model_spec.hpp"
+#include "core/pipeline.hpp"
+#include "data/catalog.hpp"
 #include "data/synthetic.hpp"
 #include "graph/graph.hpp"
 #include "sgxsim/chacha20poly1305.hpp"
 #include "sgxsim/sha256.hpp"
-#include "tensor/gemm.hpp"
 #include "tensor/csr.hpp"
+#include "tensor/gemm.hpp"
+#include "tensor/ops.hpp"
 
 namespace {
 
@@ -43,6 +50,87 @@ void BM_GemmTallSkinny(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GemmTallSkinny);
+
+// Rows of the Pubmed twin: the training activations are [kPubmedRows, C].
+constexpr std::size_t kPubmedRows = 19717;
+
+void BM_MatmulNt(benchmark::State& state) {
+  // An input gradient dX = dZ W': dZ is [n, out], W is [in, out]. The
+  // shapes are the M1 parallel rectifier's backward: layer 0's 128 x 128
+  // (whose input gradient training no longer computes), layer 1's full
+  // 160 x 32, and the 128 x 32 part of it that training keeps.
+  const auto in = static_cast<std::size_t>(state.range(0));
+  const auto out = static_cast<std::size_t>(state.range(1));
+  const Matrix dz = random_dense(kPubmedRows, out, 10);
+  const Matrix w = random_dense(in, out, 11);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(matmul_nt(dz, w));
+  }
+  state.SetItemsProcessed(state.iterations() * kPubmedRows * in * out);
+}
+BENCHMARK(BM_MatmulNt)->Args({128, 128})->Args({160, 32})->Args({128, 32})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_DropoutForward(benchmark::State& state) {
+  const Matrix h = random_dense(kPubmedRows, 128, 12);
+  Matrix x = h;
+  Rng rng(13);
+  for (auto _ : state) {
+    state.PauseTiming();
+    x = h;  // dropout scales in place; start every pass from the same input
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(dropout_forward(x, 0.5f, rng));
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * h.size());
+}
+BENCHMARK(BM_DropoutForward)->Unit(benchmark::kMillisecond);
+
+void BM_DropoutBackward(benchmark::State& state) {
+  Matrix x = random_dense(kPubmedRows, 128, 14);
+  Rng rng(15);
+  const DropoutMask mask = dropout_forward(x, 0.5f, rng);
+  const Matrix g = random_dense(kPubmedRows, 128, 16);
+  Matrix dy = g;
+  for (auto _ : state) {
+    state.PauseTiming();
+    dy = g;
+    state.ResumeTiming();
+    dropout_backward(dy, mask);
+    benchmark::DoNotOptimize(dy.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * g.size());
+}
+BENCHMARK(BM_DropoutBackward)->Unit(benchmark::kMillisecond);
+
+void BM_ReluBackward(benchmark::State& state) {
+  const Matrix z = random_dense(kPubmedRows, 128, 17);
+  Matrix dy = random_dense(kPubmedRows, 128, 18);
+  for (auto _ : state) {
+    relu_backward(dy, z);  // idempotent: repeated passes gate the same entries
+    benchmark::DoNotOptimize(dy.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * dy.size());
+}
+BENCHMARK(BM_ReluBackward)->Unit(benchmark::kMillisecond);
+
+void BM_TrainVaultCora(benchmark::State& state) {
+  // One vault set-up on the Cora twin with the M1 model and the 50 epochs
+  // VaultBench's cora-hot workload trains: KNN substitute graph, backbone,
+  // rectifier.
+  const Dataset ds = load_dataset(DatasetId::kCora, 42);
+  VaultTrainConfig cfg;
+  cfg.spec = model_spec_for_dataset(DatasetId::kCora);
+  cfg.backbone_train.epochs = 50;
+  cfg.rectifier_train.epochs = 50;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(train_vault(ds, cfg));
+  }
+}
+BENCHMARK(BM_TrainVaultCora)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 void BM_Spmm(benchmark::State& state) {
   SyntheticSpec spec;

@@ -22,16 +22,27 @@ class Rng {
 
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
-  /// Raw 64 random bits.
-  std::uint64_t next_u64();
+  /// Raw 64 random bits. Inline, as are uniform() and bernoulli(): dropout
+  /// takes one Bernoulli draw per activation.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   // UniformRandomBitGenerator interface (usable with <algorithm>).
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ull; }
   result_type operator()() { return next_u64(); }
 
-  /// Uniform double in [0, 1).
-  double uniform();
+  /// Uniform double in [0, 1): the 53 high bits of one draw.
+  double uniform() { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
   /// Uniform integer in [0, n). Requires n > 0.
@@ -42,8 +53,8 @@ class Rng {
   double normal();
   /// Normal with mean/stddev.
   double normal(double mean, double stddev);
-  /// Bernoulli trial.
-  bool bernoulli(double p);
+  /// Bernoulli trial: true when uniform() < p.
+  bool bernoulli(double p) { return uniform() < p; }
   /// Geometric-ish power-law-ish positive value used by the DC-SBM degree
   /// corrector: Pareto(alpha) clipped to [1, cap].
   double pareto(double alpha, double cap);
@@ -64,6 +75,10 @@ class Rng {
   Rng split();
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
   double spare_normal_ = 0.0;
   bool has_spare_ = false;

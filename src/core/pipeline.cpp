@@ -71,6 +71,7 @@ TrainResult train_rectifier(Rectifier& rectifier,
                             const std::vector<std::uint32_t>& train_mask,
                             const TrainConfig& cfg) {
   GV_CHECK(!train_mask.empty(), "empty training mask");
+  GV_CHECK(cfg.epochs > 0, "epochs must be positive");
   ParamRefs params;
   rectifier.collect_parameters(params);
   Adam opt(cfg.adam);
@@ -92,9 +93,9 @@ TrainResult train_rectifier(Rectifier& rectifier,
     }
   }
   result.final_loss = result.loss_history.back();
-  const Matrix logits = rectifier.forward(backbone_outputs, /*training=*/false);
-  const auto preds = argmax_rows(logits);
-  result.train_accuracy = accuracy_on(preds, labels, train_mask);
+  result.predictions =
+      argmax_rows(rectifier.forward(backbone_outputs, /*training=*/false));
+  result.train_accuracy = accuracy_on(result.predictions, labels, train_mask);
   return result;
 }
 
@@ -126,25 +127,26 @@ TrainedVault train_vault(const Dataset& ds, const VaultTrainConfig& cfg) {
     tv.backbone_gcn = std::make_shared<GcnModel>(gc, tv.substitute_adj, rng);
   }
   NodeModel& bb = tv.backbone();
-  train_node_classifier(bb, ds.features, ds.labels, ds.split.train, cfg.backbone_train);
+  const TrainResult bb_fit = train_node_classifier(bb, ds.features, ds.labels,
+                                                   ds.split.train, cfg.backbone_train);
   tv.backbone_parameters = bb.parameter_count();
-  tv.backbone_test_accuracy =
-      evaluate_accuracy(bb, ds.features, ds.labels, ds.split.test);
+  tv.backbone_test_accuracy = accuracy_on(bb_fit.predictions, ds.labels, ds.split.test);
 
   // --- Step 3: freeze the backbone, train the rectifier on the REAL
-  // adjacency from the backbone's (inference-mode) embeddings. -----------
-  const auto outputs = tv.backbone_outputs(ds.features);
+  // adjacency from the backbone's (inference-mode) embeddings, which the
+  // closing forward of its training left in layer_outputs(). -------------
+  const std::vector<Matrix>& outputs = bb.layer_outputs();
   RectifierConfig rc;
   rc.kind = cfg.rectifier;
   rc.channels = rectifier_channels;
   rc.dropout = cfg.spec.dropout;
   tv.rectifier = std::make_shared<Rectifier>(rc, bb.layer_dims(), tv.real_adj, rng);
-  train_rectifier(*tv.rectifier, outputs, ds.labels, ds.split.train,
-                  cfg.rectifier_train);
+  const TrainResult rect_fit = train_rectifier(*tv.rectifier, outputs, ds.labels,
+                                               ds.split.train, cfg.rectifier_train);
   tv.rectifier_parameters = tv.rectifier->parameter_count();
-
-  const auto preds = tv.predict_rectified(ds.features);
-  tv.rectifier_test_accuracy = accuracy_on(preds, ds.labels, ds.split.test);
+  // The closing forward is predict_rectified's computation on these inputs.
+  tv.rectifier_test_accuracy =
+      accuracy_on(rect_fit.predictions, ds.labels, ds.split.test);
   return tv;
 }
 

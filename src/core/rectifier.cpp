@@ -19,19 +19,6 @@ std::string rectifier_kind_name(RectifierKind kind) {
   throw Error("unknown rectifier kind");
 }
 
-namespace {
-/// Columns [begin, end) of m as a copy.
-Matrix slice_cols(const Matrix& m, std::size_t begin, std::size_t end) {
-  GV_CHECK(begin <= end && end <= m.cols(), "column slice out of range");
-  Matrix out(m.rows(), end - begin);
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    std::memcpy(out.data() + r * out.cols(), m.data() + r * m.cols() + begin,
-                (end - begin) * sizeof(float));
-  }
-  return out;
-}
-}  // namespace
-
 /// Sorted union of `rows` and every adjacency column reachable from them
 /// (the one-hop closure; Â carries self-loops, but the union keeps isolated
 /// nodes in the frontier too). Uses the epoch-stamped scratch buffer so no
@@ -219,12 +206,13 @@ Matrix Rectifier::forward(const std::vector<Matrix>& backbone_outputs, bool trai
     const bool last = (k + 1 == layers_.size());
     Matrix z = layers_[k].forward(
         *adj_, build_layer_input(k, backbone_outputs, h, concat), training);
-    if (training) pre_activations_.push_back(z);
     if (!last) {
       h = relu(z);
       if (training && cfg_.dropout > 0.0f) {
         masks_.push_back(dropout_forward(h, cfg_.dropout, dropout_rng_));
       }
+      // Kept for relu_backward; the output layer has no activation.
+      if (training) pre_activations_.push_back(std::move(z));
     } else {
       h = std::move(z);
     }
@@ -321,20 +309,18 @@ void Rectifier::backward(const Matrix& dlogits) {
     const bool last = (k + 1 == layers_.size());
     if (!last) {
       if (cfg_.dropout > 0.0f) dropout_backward(d, masks_[k]);
-      d = relu_backward(d, pre_activations_[k]);
+      relu_backward(d, pre_activations_[k]);
     }
-    Matrix dinput = layers_[k].backward(*adj_, d);
-    if (k == 0) break;  // gradient w.r.t. backbone embeddings is discarded
-    switch (cfg_.kind) {
-      case RectifierKind::kParallel:
-        // Input was [backbone_k | prev]; keep only the prev part.
-        d = slice_cols(dinput, backbone_dims_[k], dinput.cols());
-        break;
-      case RectifierKind::kCascaded:
-      case RectifierKind::kSeries:
-        d = std::move(dinput);
-        break;
+    // Keep only the input gradient that flows into an earlier rectifier
+    // layer: none at layer 0 (backbone embeddings are frozen), and for a
+    // parallel layer [backbone_k | prev] only the prev columns.
+    std::size_t keep_from = 0;
+    if (k == 0) {
+      keep_from = layers_[k].in_dim();
+    } else if (cfg_.kind == RectifierKind::kParallel) {
+      keep_from = backbone_dims_[k];
     }
+    d = layers_[k].backward(*adj_, d, keep_from);
   }
 }
 

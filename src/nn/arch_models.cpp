@@ -35,14 +35,15 @@ Matrix SageModel::forward(const CsrMatrix& features, bool training) {
     const bool last = (k + 1 == layers_.size());
     Matrix z = (k == 0) ? layers_[k].forward(prop_, features, training)
                         : layers_[k].forward(prop_, h, training);
-    if (training) pre_activations_.push_back(z);
     if (!last) {
       h = relu(z);
       if (training && cfg_.dropout > 0.0f) {
         masks_.push_back(dropout_forward(h, cfg_.dropout, dropout_rng_));
       }
+      // Kept for relu_backward; the output layer has no activation.
+      if (training) pre_activations_.push_back(std::move(z));
     } else {
-      h = z;
+      h = std::move(z);
     }
     outputs_.push_back(h);
   }
@@ -56,7 +57,7 @@ void SageModel::backward(const Matrix& dlogits) {
     const bool last = (k + 1 == layers_.size());
     if (!last) {
       if (cfg_.dropout > 0.0f) dropout_backward(d, masks_[k]);
-      d = relu_backward(d, pre_activations_[k]);
+      relu_backward(d, pre_activations_[k]);
     }
     if (k == 0) {
       layers_[k].backward_sparse_input(prop_, d);
@@ -94,14 +95,15 @@ Matrix GatModel::forward(const CsrMatrix& features, bool training) {
   for (std::size_t k = 0; k < layers_.size(); ++k) {
     const bool last = (k + 1 == layers_.size());
     Matrix z = layers_[k].forward(*adj_, k == 0 ? dense_features_ : h, training);
-    if (training) pre_activations_.push_back(z);
     if (!last) {
       h = relu(z);
       if (training && cfg_.dropout > 0.0f) {
         masks_.push_back(dropout_forward(h, cfg_.dropout, dropout_rng_));
       }
+      // Kept for relu_backward; the output layer has no activation.
+      if (training) pre_activations_.push_back(std::move(z));
     } else {
-      h = z;
+      h = std::move(z);
     }
     outputs_.push_back(h);
   }
@@ -115,9 +117,10 @@ void GatModel::backward(const Matrix& dlogits) {
     const bool last = (k + 1 == layers_.size());
     if (!last) {
       if (cfg_.dropout > 0.0f) dropout_backward(d, masks_[k]);
-      d = relu_backward(d, pre_activations_[k]);
+      relu_backward(d, pre_activations_[k]);
     }
-    d = layers_[k].backward(*adj_, d);  // input gradient of layer 0 unused
+    // Layer 0's input is the raw features: keep none of its gradient.
+    d = layers_[k].backward(*adj_, d, k == 0 ? layers_[k].in_dim() : 0);
   }
 }
 

@@ -82,10 +82,12 @@ Matrix GatLayer::forward(const CsrMatrix& adj, const Matrix& x, bool training) {
   return y;
 }
 
-Matrix GatLayer::backward(const CsrMatrix& adj, const Matrix& dy) {
+Matrix GatLayer::backward(const CsrMatrix& adj, const Matrix& dy,
+                          std::size_t first_input_col) {
   GV_CHECK(!cached_input_.empty(), "backward() requires a training forward");
   GV_CHECK(dy.rows() == cached_input_.rows() && dy.cols() == out_dim(),
            "GatLayer backward shape mismatch");
+  GV_CHECK(first_input_col <= in_dim(), "backward() first input column out of range");
   const std::size_t n = dy.rows(), h = out_dim();
   const auto& rp = adj.row_ptr();
   const auto& ci = adj.col_idx();
@@ -145,7 +147,7 @@ Matrix GatLayer::backward(const CsrMatrix& adj, const Matrix& dy) {
     }
   }
   w_.grad += matmul_tn(cached_input_, dz);
-  return matmul_nt(dz, w_.value);
+  return matmul_nt(dz, w_.value, first_input_col);
 }
 
 void GatLayer::collect_parameters(ParamRefs& refs) {

@@ -31,8 +31,13 @@ class GatLayer {
   /// `adj` must be the binary adjacency with self-loops (values ignored).
   Matrix forward(const CsrMatrix& adj, const Matrix& x, bool training);
 
-  /// Accumulates gradients; returns dL/dx.
-  Matrix backward(const CsrMatrix& adj, const Matrix& dy);
+  /// Accumulates gradients; returns dL/dx for the input columns from
+  /// `first_input_col` on (the part the caller keeps), equal to those columns
+  /// of the full gradient. Pass in_dim() when the caller keeps none (a first
+  /// layer over raw features); the input-gradient GEMM is then skipped. The
+  /// parameter gradients do not depend on `first_input_col`.
+  Matrix backward(const CsrMatrix& adj, const Matrix& dy,
+                  std::size_t first_input_col = 0);
 
   Parameter& weight() { return w_; }
   VectorParameter& attention_src() { return a_src_; }

@@ -53,17 +53,19 @@ Matrix GcnLayer::forward_subgraph(const CsrMatrix& sub_adj, const Matrix& x) con
   return y;
 }
 
-Matrix GcnLayer::backward(const CsrMatrix& adj, const Matrix& dy) {
+Matrix GcnLayer::backward(const CsrMatrix& adj, const Matrix& dy,
+                          std::size_t first_input_col) {
   GV_CHECK(!cached_sparse_, "backward() called after sparse-input forward");
   GV_CHECK(!cached_dense_input_.empty(),
            "backward() requires a training-mode forward first");
+  GV_CHECK(first_input_col <= in_dim(), "backward() first input column out of range");
   // y = Â (x W) + b ; Â is symmetric, so d(xW) = Â' dy = Â dy.
   Matrix dxw = spmm(adj, dy);
-  // dW = x' dxw ; db = colsum(dy) ; dx = dxw W'.
+  // dW = x' dxw ; db = colsum(dy) ; dx[:, first:] = dxw W[first:, :]'.
   w_.grad += matmul_tn(cached_dense_input_, dxw);
   const auto db = col_sums(dy);
   for (std::size_t i = 0; i < db.size(); ++i) b_.grad[i] += db[i];
-  return matmul_nt(dxw, w_.value);
+  return matmul_nt(dxw, w_.value, first_input_col);
 }
 
 void GcnLayer::backward_sparse_input(const CsrMatrix& adj, const Matrix& dy) {

@@ -39,10 +39,16 @@ class GcnLayer {
   /// input frontier). Used by batched node-subset serving; never caches.
   Matrix forward_subgraph(const CsrMatrix& sub_adj, const Matrix& x) const;
 
-  /// Backward: given dL/d(output), accumulates dW, db and returns dL/d(input).
+  /// Backward: given dL/d(output), accumulates dW, db and returns dL/d(input)
+  /// for the input columns from `first_input_col` on, the part the caller
+  /// keeps: [n, in_dim() - first_input_col], equal to those columns of the
+  /// full gradient. Pass in_dim() when the caller keeps none (an input that
+  /// is not trained, e.g. frozen backbone embeddings); the input-gradient
+  /// GEMM is then skipped. dW and db do not depend on `first_input_col`.
   /// For the sparse-input variant the input gradient is not needed (features
   /// are not trainable), so `backward_sparse_input` skips computing it.
-  Matrix backward(const CsrMatrix& adj, const Matrix& dy);
+  Matrix backward(const CsrMatrix& adj, const Matrix& dy,
+                  std::size_t first_input_col = 0);
   void backward_sparse_input(const CsrMatrix& adj, const Matrix& dy);
 
   Parameter& weight() { return w_; }

@@ -40,14 +40,15 @@ Matrix GcnModel::forward(const CsrMatrix& features, bool training) {
     const bool last = (k + 1 == layers_.size());
     Matrix z = (k == 0) ? layers_[k].forward(*adj_, features, training)
                         : layers_[k].forward(*adj_, h, training);
-    if (training) pre_activations_.push_back(z);
     if (!last) {
       h = relu(z);
       if (training && cfg_.dropout > 0.0f) {
         masks_.push_back(dropout_forward(h, cfg_.dropout, dropout_rng_));
       }
+      // Kept for relu_backward; the output layer has no activation.
+      if (training) pre_activations_.push_back(std::move(z));
     } else {
-      h = z;  // logits
+      h = std::move(z);  // logits
     }
     outputs_.push_back(h);
   }
@@ -62,7 +63,7 @@ void GcnModel::backward(const Matrix& dlogits) {
     if (!last) {
       // d arrived w.r.t. the post-dropout activation; undo dropout, then ReLU.
       if (cfg_.dropout > 0.0f) dropout_backward(d, masks_[k]);
-      d = relu_backward(d, pre_activations_[k]);
+      relu_backward(d, pre_activations_[k]);
     }
     if (k == 0) {
       layers_[k].backward_sparse_input(*adj_, d);
@@ -101,14 +102,15 @@ Matrix MlpModel::forward(const CsrMatrix& features, bool training) {
     const bool last = (k + 1 == layers_.size());
     Matrix z = (k == 0) ? layers_[k].forward(features, training)
                         : layers_[k].forward(h, training);
-    if (training) pre_activations_.push_back(z);
     if (!last) {
       h = relu(z);
       if (training && cfg_.dropout > 0.0f) {
         masks_.push_back(dropout_forward(h, cfg_.dropout, dropout_rng_));
       }
+      // Kept for relu_backward; the output layer has no activation.
+      if (training) pre_activations_.push_back(std::move(z));
     } else {
-      h = z;
+      h = std::move(z);
     }
     outputs_.push_back(h);
   }
@@ -122,7 +124,7 @@ void MlpModel::backward(const Matrix& dlogits) {
     const bool last = (k + 1 == layers_.size());
     if (!last) {
       if (cfg_.dropout > 0.0f) dropout_backward(d, masks_[k]);
-      d = relu_backward(d, pre_activations_[k]);
+      relu_backward(d, pre_activations_[k]);
     }
     if (k == 0) {
       layers_[k].backward_sparse_input(d);

@@ -34,8 +34,8 @@ TrainResult train_node_classifier(NodeModel& model, const CsrMatrix& features,
     }
   }
   result.final_loss = result.loss_history.back();
-  const auto preds = predict(model, features);
-  result.train_accuracy = accuracy_on(preds, labels, train_mask);
+  result.predictions = predict(model, features);
+  result.train_accuracy = accuracy_on(result.predictions, labels, train_mask);
   return result;
 }
 

@@ -19,6 +19,9 @@ struct TrainResult {
   std::vector<double> loss_history;
   double final_loss = 0.0;
   double train_accuracy = 0.0;
+  /// Label of every node from the closing inference-mode forward of the
+  /// trained model; a NodeModel's layer_outputs() still hold that forward.
+  std::vector<std::uint32_t> predictions;
 };
 
 /// Train `model` to classify nodes; labels are read only at `train_mask`

@@ -4,8 +4,11 @@
 // just its own feature row, so the node id must be part of the key.  Each
 // entry additionally stores a SHA-256 digest of the node's feature row: a
 // lookup whose digest no longer matches is treated as a miss and evicted,
-// so cached labels can never survive a feature update.  Thread-safe — the
-// server's worker threads fill it while request threads probe it.
+// so a label never outlives a change to its own row.  A feature update
+// keeps the entries of unchanged rows (invalidate_stale), even though a
+// changed neighbour can change their labels; callers that need strict
+// freshness clear() instead.  Thread-safe — the server's worker threads
+// fill it while request threads probe it.
 #pragma once
 
 #include <cstdint>

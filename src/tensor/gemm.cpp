@@ -9,9 +9,13 @@ namespace gv {
 namespace {
 // Row-parallel i-k-j kernel: the innermost loop is a contiguous AXPY over
 // C's row, which GCC auto-vectorizes; good enough for the matrix shapes in
-// GNN training (tall-skinny activations times small weight blocks).
+// GNN training (tall-skinny activations times small weight blocks). Each
+// C element adds its products in ascending p, so vectorizing across j keeps
+// every element's sum order. `skip_zero_a` skips zero A entries (post-ReLU
+// activations are sparse-ish); that also drops 0 * Inf = NaN terms, so
+// matmul_nt, a plain dot product, does not skip.
 void gemm_nn(const float* a, const float* b, float* c, std::size_t m,
-             std::size_t k, std::size_t n, bool accumulate) {
+             std::size_t k, std::size_t n, bool accumulate, bool skip_zero_a) {
 #pragma omp parallel for schedule(static)
   for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(m); ++i) {
     float* crow = c + i * n;
@@ -21,7 +25,7 @@ void gemm_nn(const float* a, const float* b, float* c, std::size_t m,
     const float* arow = a + i * k;
     for (std::size_t p = 0; p < k; ++p) {
       const float av = arow[p];
-      if (av == 0.0f) continue;  // sparse-ish activations (post-ReLU) shortcut
+      if (skip_zero_a && av == 0.0f) continue;
       const float* brow = b + p * n;
       for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
@@ -32,7 +36,7 @@ void gemm_nn(const float* a, const float* b, float* c, std::size_t m,
 Matrix matmul(const Matrix& a, const Matrix& b) {
   GV_CHECK(a.cols() == b.rows(), "matmul shape mismatch");
   Matrix c(a.rows(), b.cols());
-  gemm_nn(a.data(), b.data(), c.data(), a.rows(), a.cols(), b.cols(), false);
+  gemm_nn(a.data(), b.data(), c.data(), a.rows(), a.cols(), b.cols(), false, true);
   return c;
 }
 
@@ -40,7 +44,7 @@ void matmul_acc(const Matrix& a, const Matrix& b, Matrix& c) {
   GV_CHECK(a.cols() == b.rows(), "matmul_acc shape mismatch");
   GV_CHECK(c.rows() == a.rows() && c.cols() == b.cols(),
            "matmul_acc output shape mismatch");
-  gemm_nn(a.data(), b.data(), c.data(), a.rows(), a.cols(), b.cols(), true);
+  gemm_nn(a.data(), b.data(), c.data(), a.rows(), a.cols(), b.cols(), true, true);
 }
 
 Matrix matmul_tn(const Matrix& a, const Matrix& b) {
@@ -71,22 +75,20 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b) {
   return std::move(partials[0]);
 }
 
-Matrix matmul_nt(const Matrix& a, const Matrix& b) {
-  // C[m, n] = A[m, k] * B[n, k]^T ; dot products of contiguous rows.
+Matrix matmul_nt(const Matrix& a, const Matrix& b, std::size_t first_b_row) {
+  // C[m, n] = A[m, k] * B[first_b_row:, k]^T. B is a small weight matrix:
+  // transpose the used rows once so the product runs as gemm_nn's AXPY.
   GV_CHECK(a.cols() == b.cols(), "matmul_nt shape mismatch");
-  const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
+  GV_CHECK(first_b_row <= b.rows(), "matmul_nt first row out of range");
+  const std::size_t m = a.rows(), k = a.cols(), n = b.rows() - first_b_row;
   Matrix c(m, n);
-#pragma omp parallel for schedule(static)
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(m); ++i) {
-    const float* arow = a.data() + i * k;
-    float* crow = c.data() + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float* brow = b.data() + j * k;
-      float acc = 0.0f;
-      for (std::size_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-      crow[j] = acc;
-    }
+  if (c.empty()) return c;
+  Matrix bt(k, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const float* brow = b.data() + (first_b_row + j) * k;
+    for (std::size_t p = 0; p < k; ++p) bt.data()[p * n + j] = brow[p];
   }
+  gemm_nn(a.data(), bt.data(), c.data(), m, k, n, false, false);
   return c;
 }
 

@@ -4,6 +4,13 @@
 //   matmul    : C = A  * B    (forward projections)
 //   matmul_tn : C = A' * B    (weight gradients  dW = X' dZ)
 //   matmul_nt : C = A  * B'   (input gradients   dX = dZ W')
+//
+// Order contract: every output element starts at +0 and adds its products
+// in ascending reduction index (matmul_tn: per fixed partial, see below), so
+// results are bit-identical across thread counts and vector widths, and a
+// change to a kernel must keep them so: trained weights depend on it.
+// matmul and matmul_acc skip zero A entries (a zero product adds nothing to
+// a finite sum); matmul_nt adds every product, so NaN and Inf propagate.
 #pragma once
 
 #include "tensor/matrix.hpp"
@@ -23,7 +30,10 @@ inline constexpr std::size_t kReductionPartials = 4;
 Matrix matmul_tn(const Matrix& a, const Matrix& b);
 
 /// C = A[m,k] * B'[n,k]'  i.e. result is [m,n] with B stored [n,k].
-Matrix matmul_nt(const Matrix& a, const Matrix& b);
+/// With `first_b_row`, only B's rows from there on take part: the result is
+/// [m, n - first_b_row], the columns from `first_b_row` on of the full
+/// product (a layer's input gradient for the input columns a caller keeps).
+Matrix matmul_nt(const Matrix& a, const Matrix& b, std::size_t first_b_row = 0);
 
 /// C += A * B (accumulating variant used by optimizers/fused layers).
 void matmul_acc(const Matrix& a, const Matrix& b, Matrix& c);

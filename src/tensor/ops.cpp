@@ -1,6 +1,7 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -14,38 +15,47 @@ Matrix relu(const Matrix& x) {
   return y;
 }
 
-Matrix relu_backward(const Matrix& dy, const Matrix& x) {
+void relu_backward(Matrix& dy, const Matrix& x) {
   GV_CHECK(dy.rows() == x.rows() && dy.cols() == x.cols(),
            "relu_backward shape mismatch");
-  Matrix dx = dy;
-  const float* xv = x.data();
-  float* d = dx.data();
-  for (std::size_t i = 0; i < dx.size(); ++i) {
-    if (xv[i] <= 0.0f) d[i] = 0.0f;
-  }
-  return dx;
+  float* __restrict d = dy.data();
+  const float* __restrict xv = x.data();
+  for (std::size_t i = 0; i < dy.size(); ++i) d[i] = xv[i] <= 0.0f ? 0.0f : d[i];
 }
+
+namespace {
+/// d[i] = keep[i] ? d[i] * scale : +0. A float ternary here stays a branch
+/// (the compiler will not compute a product the source skips, since it may
+/// raise an FP exception), so the select ANDs the product's bits with an
+/// all-ones or all-zero mask: +0.0f is all zero bits. This vectorizes.
+void apply_keep_mask(float* __restrict d, const std::uint8_t* __restrict keep,
+                     float scale, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint32_t bits = std::bit_cast<std::uint32_t>(d[i] * scale);
+    const std::uint32_t mask = 0u - static_cast<std::uint32_t>(keep[i] != 0);
+    d[i] = std::bit_cast<float>(bits & mask);
+  }
+}
+}  // namespace
 
 DropoutMask dropout_forward(Matrix& x, float p, Rng& rng) {
   GV_CHECK(p >= 0.0f && p < 1.0f, "dropout probability must be in [0,1)");
   DropoutMask mask;
   mask.keep.resize(x.size());
   mask.scale = 1.0f / (1.0f - p);
-  float* d = x.data();
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const bool keep = !rng.bernoulli(p);
-    mask.keep[i] = keep ? 1 : 0;
-    d[i] = keep ? d[i] * mask.scale : 0.0f;
-  }
+  // The draws are one serial stream; a local generator keeps its state in
+  // registers while the mask bytes are written.
+  Rng local = rng;
+  std::uint8_t* __restrict keep = mask.keep.data();
+  for (std::size_t i = 0; i < x.size(); ++i) keep[i] = !local.bernoulli(p);
+  rng = local;
+  apply_keep_mask(x.data(), keep, mask.scale, x.size());
   return mask;
 }
 
 void dropout_backward(Matrix& dy, const DropoutMask& mask) {
   GV_CHECK(dy.size() == mask.keep.size(), "dropout_backward shape mismatch");
-  float* d = dy.data();
-  for (std::size_t i = 0; i < dy.size(); ++i) {
-    d[i] = mask.keep[i] ? d[i] * mask.scale : 0.0f;
-  }
+  apply_keep_mask(dy.data(), mask.keep.data(), mask.scale, dy.size());
 }
 
 Matrix log_softmax_rows(const Matrix& x) {

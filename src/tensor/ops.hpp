@@ -1,5 +1,10 @@
 // Element-wise and row-wise tensor operations used by the nn layers,
 // metrics, and the link-stealing attack's similarity computations.
+//
+// The element-wise training ops (relu, relu_backward, dropout) are selects:
+// an entry that is gated or dropped is written as exactly +0.0f, whatever
+// its input (negative, Inf or NaN), and every other entry keeps its value
+// (times the dropout scale). Trained weights depend on these bits.
 #pragma once
 
 #include <cstdint>
@@ -12,11 +17,13 @@ namespace gv {
 
 /// out = max(x, 0), element-wise.
 Matrix relu(const Matrix& x);
-/// dx = dy where x > 0, else 0 (in terms of the forward input x).
-Matrix relu_backward(const Matrix& dy, const Matrix& x);
+/// In place: dy becomes +0 where the forward input x <= 0 and keeps its
+/// value elsewhere, including where x is NaN.
+void relu_backward(Matrix& dy, const Matrix& x);
 
 /// In-place inverted dropout with keep mask recorded for backward.
-/// Scales surviving activations by 1/(1-p).
+/// Scales surviving activations by 1/(1-p). Entry i draws
+/// keep = !rng.bernoulli(p), one draw per entry in index order.
 struct DropoutMask {
   std::vector<std::uint8_t> keep;
   float scale = 1.0f;

@@ -6,6 +6,7 @@
 #include <omp.h>
 #endif
 
+#include "common/error.hpp"
 #include "data/synthetic.hpp"
 
 // libgomp is not TSan-instrumented, so a multi-threaded OpenMP run under
@@ -168,6 +169,20 @@ TEST(Pipeline, PredictRectifiedMatchesReportedAccuracy) {
   const auto preds = tv.predict_rectified(ds.features);
   EXPECT_DOUBLE_EQ(accuracy_on(preds, ds.labels, ds.split.test),
                    tv.rectifier_test_accuracy);
+}
+
+TEST(Pipeline, TrainRectifierRejectsZeroEpochs) {
+  const Dataset ds = vault_dataset(12);
+  Rng rng(13);
+  const std::vector<Matrix> outputs = {Matrix(ds.num_nodes(), 6, 0.5f),
+                                       Matrix(ds.num_nodes(), 4, 0.5f)};
+  RectifierConfig rc;
+  rc.channels = {5, 4};
+  Rectifier r(rc, {6, 4}, std::make_shared<const CsrMatrix>(ds.graph.gcn_normalized()),
+              rng);
+  TrainConfig tc;
+  tc.epochs = 0;
+  EXPECT_THROW(train_rectifier(r, outputs, ds.labels, ds.split.train, tc), Error);
 }
 
 TEST(Pipeline, CosineBackboneMatchesRealDensity) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/error.hpp"
 #include "graph/graph.hpp"
 #include "tensor/ops.hpp"
@@ -120,13 +122,14 @@ TEST(Rectifier, MissingRequiredInputThrows) {
   EXPECT_THROW(r.forward(outs, false), Error);
 }
 
-TEST(Rectifier, GradCheckParallel) {
-  // Numerical gradient check through the concat-and-split backward path.
-  Rng rng(13);
-  Rng data_rng(14);
+/// Numerical gradient check of every weight matrix through `kind`'s
+/// backward (the concat-and-split path for the parallel kind).
+void grad_check(RectifierKind kind, std::uint64_t seed) {
+  Rng rng(seed);
+  Rng data_rng(seed + 1);
   const std::size_t n = 10;
   const auto outs = fake_backbone(n, data_rng);
-  Rectifier r(config(RectifierKind::kParallel), {8, 6, 3}, line_adj(n), rng);
+  Rectifier r(config(kind), {8, 6, 3}, line_adj(n), rng);
 
   std::vector<std::uint32_t> labels(n);
   for (std::uint32_t v = 0; v < n; ++v) labels[v] = v % 3;
@@ -156,8 +159,102 @@ TEST(Rectifier, GradCheckParallel) {
       param->value.data()[i] = orig - eps;
       const double lm = loss_of();
       param->value.data()[i] = orig;
-      EXPECT_NEAR(param->grad.data()[i], (lp - lm) / (2.0 * eps), 2e-3);
+      EXPECT_NEAR(param->grad.data()[i], (lp - lm) / (2.0 * eps), 2e-3)
+          << rectifier_kind_name(kind);
     }
+  }
+}
+
+TEST(Rectifier, GradCheckParallel) { grad_check(RectifierKind::kParallel, 13); }
+
+TEST(Rectifier, GradCheckCascaded) { grad_check(RectifierKind::kCascaded, 20); }
+
+TEST(Rectifier, GradCheckSeries) { grad_check(RectifierKind::kSeries, 24); }
+
+/// Every parameter gradient as raw bytes, in collect_parameters order.
+std::vector<std::uint8_t> grad_bytes(const ParamRefs& refs) {
+  std::vector<std::uint8_t> out;
+  const auto put = [&](const float* p, std::size_t count) {
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(p);
+    out.insert(out.end(), bytes, bytes + count * sizeof(float));
+  };
+  for (const Parameter* w : refs.matrices) put(w->grad.data(), w->grad.size());
+  for (const VectorParameter* b : refs.vectors) put(b->grad.data(), b->grad.size());
+  return out;
+}
+
+/// Columns [begin, cols) of m as a copy.
+Matrix cols_from(const Matrix& m, std::size_t begin) {
+  Matrix out(m.rows(), m.cols() - begin);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t c = begin; c < m.cols(); ++c) out(r, c - begin) = m(r, c);
+  }
+  return out;
+}
+
+TEST(Rectifier, BackwardMatchesFullInputGradientChain) {
+  // Rectifier::backward asks each layer only for the input-gradient columns
+  // it passes on. The reference chains every layer's full input gradient and
+  // slices off the backbone part; the parameter gradients must not change by
+  // a single bit.
+  const std::size_t n = 12;
+  const std::vector<std::size_t> dims = {8, 6, 3};
+  for (const auto kind :
+       {RectifierKind::kParallel, RectifierKind::kCascaded, RectifierKind::kSeries}) {
+    Rng rng(31);
+    Rng data_rng(32);
+    const auto outs = fake_backbone(n, data_rng);
+    const auto adj = line_adj(n);
+    Rectifier r(config(kind), dims, adj, rng);
+    ParamRefs refs;
+    r.collect_parameters(refs);
+
+    const Matrix logits = r.forward(outs, true);
+    Matrix dlogits(logits.rows(), logits.cols());
+    for (std::size_t i = 0; i < dlogits.size(); ++i) {
+      dlogits.data()[i] = static_cast<float>(data_rng.uniform(-1.0, 1.0));
+    }
+    refs.zero_grad();
+    r.backward(dlogits);
+    const auto kept_only = grad_bytes(refs);
+
+    // The same forward layer by layer (config() has no dropout), keeping
+    // the pre-activations the reference backward gates on.
+    const std::size_t L = r.num_layers();
+    std::vector<Matrix> z(L);
+    Matrix h;
+    for (std::size_t k = 0; k < L; ++k) {
+      Matrix input;
+      switch (kind) {
+        case RectifierKind::kParallel:
+          input = k == 0 ? outs[0] : Matrix::hconcat(outs[k], h);
+          break;
+        case RectifierKind::kCascaded: {
+          const Matrix* blocks[] = {&outs[0], &outs[1], &outs[2]};
+          input = k == 0 ? Matrix::hconcat(std::span<const Matrix* const>(blocks)) : h;
+          break;
+        }
+        case RectifierKind::kSeries:
+          input = k == 0 ? outs[1] : h;
+          break;
+      }
+      z[k] = r.layer(k).forward(*adj, input, true);
+      if (k + 1 < L) h = relu(z[k]);
+    }
+    ASSERT_EQ(std::memcmp(z.back().data(), logits.data(), logits.size() * sizeof(float)),
+              0)
+        << rectifier_kind_name(kind);
+
+    refs.zero_grad();
+    Matrix d = dlogits;
+    for (std::size_t k = L; k-- > 0;) {
+      if (k + 1 < L) relu_backward(d, z[k]);
+      Matrix dinput = r.layer(k).backward(*adj, d);
+      if (k == 0) break;
+      d = kind == RectifierKind::kParallel ? cols_from(dinput, dims[k])
+                                           : std::move(dinput);
+    }
+    EXPECT_TRUE(grad_bytes(refs) == kept_only) << rectifier_kind_name(kind);
   }
 }
 

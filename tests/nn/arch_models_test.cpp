@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "data/synthetic.hpp"
 #include "nn/trainer.hpp"
 #include "tensor/ops.hpp"
@@ -139,6 +141,54 @@ TEST(GatLayer, AttentionRowsSumToOneEffect) {
   for (std::size_t r = 0; r < 3; ++r) {
     EXPECT_NEAR(y(r, 0), 1.0f, 1e-5);
     EXPECT_NEAR(y(r, 1), 1.0f, 1e-5);
+  }
+}
+
+TEST(GatLayer, SkippedInputGradientKeepsParameterGradients) {
+  // GatModel's first layer reads raw features and asks for no input
+  // gradient; its parameter gradients must equal the full backward's bit
+  // for bit, and kept columns must equal those of the full input gradient.
+  const Problem p = make_problem(16);
+  Rng rng(17);
+  GatLayer layer(5, 4, rng);
+  const auto adj = p.graph.adjacency_csr(true);
+  const Matrix x = p.features.to_dense();
+  Matrix dy(10, 4);
+  for (std::size_t i = 0; i < dy.size(); ++i) {
+    dy.data()[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  layer.forward(adj, x, /*training=*/true);
+  ParamRefs refs;
+  layer.collect_parameters(refs);
+  const auto grads = [&refs] {
+    std::vector<float> out;
+    for (const Parameter* w : refs.matrices) {
+      out.insert(out.end(), w->grad.data(), w->grad.data() + w->grad.size());
+    }
+    for (const VectorParameter* v : refs.vectors) {
+      out.insert(out.end(), v->grad.begin(), v->grad.end());
+    }
+    return out;
+  };
+  refs.zero_grad();
+  const Matrix full = layer.backward(adj, dy);
+  const std::vector<float> full_grads = grads();
+  for (const std::size_t first : {std::size_t{2}, std::size_t{5}}) {
+    refs.zero_grad();
+    const Matrix kept = layer.backward(adj, dy, first);
+    ASSERT_EQ(kept.cols(), 5u - first);
+    for (std::size_t r = 0; !kept.empty() && r < kept.rows(); ++r) {
+      EXPECT_EQ(std::memcmp(kept.data() + r * kept.cols(),
+                            full.data() + r * full.cols() + first,
+                            kept.cols() * sizeof(float)),
+                0);
+    }
+    const std::vector<float> kept_grads = grads();
+    ASSERT_EQ(kept_grads.size(), full_grads.size());
+    EXPECT_EQ(std::memcmp(kept_grads.data(), full_grads.data(),
+                          full_grads.size() * sizeof(float)),
+              0)
+        << "first " << first;
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/error.hpp"
 #include "nn/dense_layer.hpp"
 #include "nn/gcn_layer.hpp"
@@ -91,6 +94,49 @@ TEST(GcnLayer, BiasGradientIsColumnSum) {
   layer.backward(adj, dy);
   EXPECT_NEAR(layer.bias().grad[0], 3.0f, 1e-5);
   EXPECT_NEAR(layer.bias().grad[1], 4.0f, 1e-5);
+}
+
+/// Uniform entries in [-1, 1).
+Matrix random_matrix(std::size_t r, std::size_t c, Rng& rng) {
+  Matrix m(r, c);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  return m;
+}
+
+bool same_bytes(const float* a, const float* b, std::size_t count) {
+  return count == 0 || std::memcmp(a, b, count * sizeof(float)) == 0;
+}
+
+TEST(GcnLayer, KeptInputColumnsMatchFullGradient) {
+  Rng rng(31);
+  GcnLayer layer(9, 5, rng);
+  auto adj = CsrMatrix::from_coo(
+      6, 6, {{0, 0, 0.5f}, {0, 1, 0.5f}, {1, 0, 0.5f}, {1, 1, 0.5f}, {2, 2, 1.0f},
+             {3, 3, 0.5f}, {3, 5, 0.5f}, {4, 4, 1.0f}, {5, 3, 0.5f}, {5, 5, 0.5f}});
+  const Matrix x = random_matrix(6, 9, rng);
+  const Matrix dy = random_matrix(6, 5, rng);
+  layer.forward(adj, x, /*training=*/true);
+  const Matrix full = layer.backward(adj, dy);
+  const Matrix w_grad = layer.weight().grad;
+  const std::vector<float> b_grad = layer.bias().grad;
+  for (const std::size_t first : {std::size_t{0}, std::size_t{4}, std::size_t{9}}) {
+    layer.weight().grad.fill(0.0f);
+    std::fill(layer.bias().grad.begin(), layer.bias().grad.end(), 0.0f);
+    const Matrix kept = layer.backward(adj, dy, first);
+    ASSERT_EQ(kept.rows(), 6u);
+    ASSERT_EQ(kept.cols(), 9u - first);
+    for (std::size_t r = 0; r < kept.rows(); ++r) {
+      EXPECT_TRUE(same_bytes(kept.data() + r * kept.cols(),
+                             full.data() + r * full.cols() + first, kept.cols()))
+          << "first " << first << " row " << r;
+    }
+    // dW and db do not depend on which input columns are kept.
+    EXPECT_TRUE(same_bytes(layer.weight().grad.data(), w_grad.data(), w_grad.size()));
+    EXPECT_TRUE(same_bytes(layer.bias().grad.data(), b_grad.data(), b_grad.size()));
+  }
+  EXPECT_THROW(layer.backward(adj, dy, 10), Error);
 }
 
 TEST(DenseLayer, ForwardIsAffine) {

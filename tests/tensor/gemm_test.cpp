@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -70,6 +74,63 @@ TEST(Gemm, NtMatchesExplicitTranspose) {
   const Matrix a = random_matrix(12, 8, rng);
   const Matrix b = random_matrix(15, 8, rng);
   EXPECT_TRUE(matmul_nt(a, b).allclose(matmul(a, b.transposed()), 1e-4f));
+}
+
+/// Uniform entries in [-1, 1) with every fifth one exactly zero.
+Matrix signed_matrix(std::size_t r, std::size_t c, Rng& rng) {
+  Matrix m(r, c);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = i % 5 == 2 ? 0.0f : static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  return m;
+}
+
+/// Columns from `first` on of A * B' as scalar dot products: each element
+/// starts at +0 and adds a[i,p] * b[j,p] in ascending p.
+Matrix dot_product_nt(const Matrix& a, const Matrix& b, std::size_t first) {
+  Matrix c(a.rows(), b.rows() - first);
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = first; j < b.rows(); ++j) {
+      float acc = 0.0f;
+      for (std::size_t p = 0; p < a.cols(); ++p) acc += a(i, p) * b(j, p);
+      c(i, j - first) = acc;
+    }
+  }
+  return c;
+}
+
+TEST(Gemm, NtBitExactAgainstDotProduct) {
+  Rng rng(6);
+  for (const auto& [m, k, n] :
+       {std::tuple<int, int, int>{1, 1, 1}, {3, 5, 4}, {17, 9, 23}, {33, 128, 7},
+        {64, 33, 17}, {5, 160, 32}}) {
+    const Matrix a = signed_matrix(m, k, rng);
+    const Matrix b = signed_matrix(n, k, rng);
+    for (const std::size_t first :
+         {std::size_t{0}, std::size_t{1}, std::size_t(n) / 2, std::size_t(n)}) {
+      const Matrix c = matmul_nt(a, b, first);
+      const Matrix expect = dot_product_nt(a, b, first);
+      ASSERT_EQ(c.rows(), expect.rows());
+      ASSERT_EQ(c.cols(), expect.cols());
+      EXPECT_TRUE(c.empty() ||
+                  std::memcmp(c.data(), expect.data(), c.size() * sizeof(float)) == 0)
+          << "shape " << m << "x" << k << "x" << n << " first " << first;
+    }
+  }
+}
+
+TEST(Gemm, NtPropagatesNanFromZeroTimesInf) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const Matrix a{{0.0f, 1.0f}};
+  const Matrix b{{inf, 1.0f}, {1.0f, 2.0f}};
+  const Matrix c = matmul_nt(a, b);
+  EXPECT_TRUE(std::isnan(c(0, 0)));  // 0 * Inf is not skipped
+  EXPECT_EQ(c(0, 1), 2.0f);
+}
+
+TEST(Gemm, NtFirstRowOutOfRangeThrows) {
+  Matrix a(3, 2), b(4, 2);
+  EXPECT_THROW(matmul_nt(a, b, 5), Error);
 }
 
 TEST(Gemm, TnShapeMismatchThrows) {

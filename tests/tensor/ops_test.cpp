@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -19,11 +21,85 @@ TEST(Ops, ReluClampsNegatives) {
 
 TEST(Ops, ReluBackwardGatesOnForwardInput) {
   Matrix x{{-1, 0.5f, 2}};
-  Matrix dy{{10, 10, 10}};
-  const Matrix dx = relu_backward(dy, x);
+  Matrix dx{{10, 10, 10}};
+  relu_backward(dx, x);
   EXPECT_FLOAT_EQ(dx(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(dx(0, 1), 10.0f);
   EXPECT_FLOAT_EQ(dx(0, 2), 10.0f);
+}
+
+/// Uniform entries in [-1, 1) with every seventh one exactly zero.
+Matrix signed_matrix(std::size_t r, std::size_t c, Rng& rng) {
+  Matrix m(r, c);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = i % 7 == 3 ? 0.0f : static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  return m;
+}
+
+bool same_bytes(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(Ops, ReluBackwardBitExactWithNanAndSignedZeros) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  Rng rng(21);
+  // Odd size so vectorized bodies and their scalar tails both run.
+  Matrix x = signed_matrix(13, 11, rng);
+  const float specials[] = {nan, 0.0f, -0.0f, -1.5f, 2.5f, inf, -inf};
+  for (std::size_t i = 0; i < x.size(); i += 5) x.data()[i] = specials[(i / 5) % 7];
+  const Matrix dy = signed_matrix(13, 11, rng);
+  Matrix expect(13, 11);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    expect.data()[i] = x.data()[i] <= 0.0f ? 0.0f : dy.data()[i];
+  }
+  Matrix dx = dy;
+  relu_backward(dx, x);
+  EXPECT_TRUE(same_bytes(dx, expect));
+  // A NaN pre-activation passes the gradient through.
+  EXPECT_EQ(dx.data()[0], dy.data()[0]);
+}
+
+TEST(Ops, DropoutForwardBitExactAgainstBernoulliLoop) {
+  Rng data_rng(22);
+  const Matrix input = signed_matrix(37, 13, data_rng);
+  for (const float p : {0.5f, 0.3f, 0.0f}) {
+    Matrix x = input;
+    Rng rng(23);
+    const DropoutMask mask = dropout_forward(x, p, rng);
+
+    Rng ref(23);
+    const float scale = 1.0f / (1.0f - p);
+    std::vector<std::uint8_t> keep(input.size());
+    Matrix expect(input.rows(), input.cols());
+    for (std::size_t i = 0; i < input.size(); ++i) {
+      keep[i] = ref.bernoulli(p) ? 0 : 1;
+      expect.data()[i] = keep[i] ? input.data()[i] * scale : 0.0f;  // +0 when dropped
+    }
+    EXPECT_EQ(mask.scale, scale) << "p " << p;
+    ASSERT_EQ(mask.keep.size(), keep.size());
+    EXPECT_EQ(std::memcmp(mask.keep.data(), keep.data(), keep.size()), 0) << "p " << p;
+    EXPECT_TRUE(same_bytes(x, expect)) << "p " << p;
+    // One draw per entry: both streams continue in step.
+    EXPECT_EQ(rng.next_u64(), ref.next_u64()) << "p " << p;
+  }
+}
+
+TEST(Ops, DropoutBackwardBitExactAgainstMaskLoop) {
+  Rng data_rng(24);
+  Matrix x = signed_matrix(29, 17, data_rng);
+  Rng rng(25);
+  const DropoutMask mask = dropout_forward(x, 0.4f, rng);
+  const Matrix dy = signed_matrix(29, 17, data_rng);
+  Matrix expect(dy.rows(), dy.cols());
+  for (std::size_t i = 0; i < dy.size(); ++i) {
+    expect.data()[i] = mask.keep[i] ? dy.data()[i] * mask.scale : 0.0f;
+  }
+  Matrix d = dy;
+  dropout_backward(d, mask);
+  EXPECT_TRUE(same_bytes(d, expect));
 }
 
 TEST(Ops, ReluBackwardShapeMismatchThrows) {
