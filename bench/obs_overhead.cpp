@@ -19,11 +19,8 @@
 // attribution (every batch_flush / shard_lookup / cold_subset span carries
 // a query_id, and at least one id groups the flush, the cold walk AND the
 // peer shard's halo serving — proof the id crossed the attested channel);
-// a TimeSeriesRing over the global registry closes one window per rep with
-// deltas that reconcile exactly against the counters; an SLO monitor
-// evaluates a channel-integrity objective over those windows; and every
-// kill_shard leaves a schema-valid flight bundle under bench_out/flight/
-// for CI's independent Python validator.
+// and every kill_shard leaves a schema-valid flight bundle under
+// bench_out/flight/ for CI's independent Python validator.
 //
 // The bench also pins the ServerMetrics::snapshot() fix: the legacy
 // sort-8192-doubles-under-mutex latency reservoir is rebuilt inline and
@@ -49,8 +46,6 @@
 #include "common/thread_safety.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/slo.hpp"
-#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "serve/registry.hpp"
 #include "shard/shard_planner.hpp"
@@ -182,27 +177,20 @@ int main(int argc, char** argv) {
   // (page cache, allocator arenas, replica thread spin-up) that would
   // otherwise land entirely on the tracing-off arm and masquerade as
   // negative overhead.  Runs before the flight recorder is armed, so its
-  // kill trips no bundle and its cold queries stay out of the ring
-  // reconciliation below.
+  // kill trips no bundle and its cold queries stay out of the count below.
   (void)run_scenario(ds, vault, K, s.seed + 99, truth);
 
   // --- QueryLens telemetry rides along: the flight recorder is armed over
   // BOTH arms (each run_scenario kill trips a dead-shard bundle into
   // bench_out/flight/, which CI re-validates with an independent Python
-  // parser), and a time-series ring over the global registry closes one
-  // window per rep — the SLO monitor evaluates against those windows
-  // below.  Armed-for-both keeps the off-vs-on comparison fair: bundle IO
+  // parser).  Armed-for-both keeps the off-vs-on comparison fair: bundle IO
   // costs the two arms identically. ------------------------------------------
   auto& fr = FlightRecorder::instance();
   const std::string flight_dir = out_dir() + "/flight";
   std::filesystem::remove_all(flight_dir);
   fr.configure(flight_dir, 256);
   MetricsRegistry& greg = MetricsRegistry::global();
-  TimeSeriesRing ring(greg, {1.0, 32});
-  fr.attach_timeseries(&ring);
   const std::uint64_t cold_queries_before = greg.counter("cold.queries").value();
-  double ring_clock = 0.0;
-  ring.sample(ring_clock);  // baseline sample: opens the first window
 
   // --- Throughput with tracing off vs on (5 runs each; best run kept, so
   // scheduler noise in the wall-derived meter does not masquerade as
@@ -214,7 +202,6 @@ int main(int argc, char** argv) {
     const ServeRun r = run_scenario(ds, vault, K, s.seed + rep, truth);
     GV_CHECK(r.exact, "serving run (tracing off) answered inexactly");
     if (r.modeled_rps > off.modeled_rps) off = r;
-    ring.sample(ring_clock += 1.0);  // close this rep's window
   }
   rec.clear();
   rec.set_enabled(true);
@@ -222,7 +209,6 @@ int main(int argc, char** argv) {
     const ServeRun r = run_scenario(ds, vault, K, s.seed + rep, truth);
     GV_CHECK(r.exact, "serving run (tracing on) answered inexactly");
     if (r.modeled_rps > on.modeled_rps) on = r;
-    ring.sample(ring_clock += 1.0);
   }
   rec.set_enabled(false);
 
@@ -320,33 +306,8 @@ int main(int argc, char** argv) {
   GV_CHECK(hist_ms < legacy_ms,
            "histogram snapshot must beat the legacy sorted reservoir");
 
-  // --- Time-series ring + SLO monitor over the scenario's telemetry. ---------
-  GV_CHECK(ring.windows() >= 6, "ring should have closed one window per rep");
-  const std::uint64_t ring_cold =
-      ring.delta_over("cold.queries", {}, ring.windows());
-  const std::uint64_t reg_cold =
-      greg.counter("cold.queries").value() - cold_queries_before;
-  GV_CHECK(ring_cold == reg_cold,
-           "windowed cold-query deltas disagree with the registry (" +
-               std::to_string(ring_cold) + " vs " + std::to_string(reg_cold) +
-               ")");
-  GV_CHECK(ring_cold > 0, "scenario served no cold queries");
-
-  SloObjective integrity;
-  integrity.name = "halo-channel-integrity";
-  integrity.kind = SloObjective::Kind::kCounterRatio;
-  integrity.bad_series = TimeSeriesRing::series_key("halo.audit_anomalies");
-  integrity.total_series = TimeSeriesRing::series_key("cold.queries");
-  integrity.target = 0.999;
-  integrity.burn_threshold = 1.0;
-  integrity.short_windows = 1;
-  integrity.long_windows = 6;
-  SloMonitor slo(ring, greg);
-  slo.add(integrity);
-  const auto slo_evals = slo.evaluate();
-  GV_CHECK(slo_evals.size() == 1 && !slo_evals[0].alert,
-           "channel-integrity SLO paged during a healthy bench run");
-  GV_CHECK(slo.evaluations() >= 1, "SLO monitor never evaluated");
+  GV_CHECK(greg.counter("cold.queries").value() > cold_queries_before,
+           "scenario served no cold queries");
 
   // --- Flight bundles from the scenario's kills (validated again by CI's
   // independent Python parser; the files stay under bench_out/flight). --------
@@ -362,7 +323,6 @@ int main(int argc, char** argv) {
   }
   GV_CHECK(flight_bundles >= 6,
            "each rep's kill_shard should have dumped a dead-shard bundle");
-  fr.attach_timeseries(nullptr);
   fr.disarm();
 
   // --- Deterministic <3% overhead pin. ---------------------------------------
@@ -506,10 +466,6 @@ int main(int argc, char** argv) {
               {"histogram_snapshot_ms", hist_ms},
               {"traced_queries", double(by_query.size())},
               {"traced_cascades", double(cascades)},
-              {"ring_windows", double(ring.windows())},
-              {"ring_cold_queries", double(ring_cold)},
-              {"slo_evaluations", double(slo.evaluations())},
-              {"slo_alerts", double(slo.alerts())},
               {"flight_bundles", double(flight_bundles)},
               {"lock_probe_ns", per_lock_s * 1e9},
               {"lockprof_acquisitions", double(lock_acquisitions)},
@@ -517,7 +473,6 @@ int main(int argc, char** argv) {
               {"lockprof_pin_pct", lockprof_pin_pct},
               {"registry_contended_waits", double(registry_contended_waits)},
               {"probes_pin_pct", probes_pin_pct}},
-             {{"metrics", MetricsRegistry::global().to_json()},
-              {"timeseries", ring.to_json()}});
+             {{"metrics", MetricsRegistry::global().to_json()}});
   return 0;
 }

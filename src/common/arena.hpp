@@ -57,6 +57,13 @@ class Arena {
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
+  /// Allocate the first block now (at least `bytes`), so an owner that
+  /// knows its per-use scratch size makes even its first use heap-free.
+  /// No-op once the arena holds a block.
+  void reserve(std::size_t bytes) {
+    if (blocks_.empty()) add_block(bytes);
+  }
+
   void* allocate(std::size_t bytes, std::size_t align) {
     GV_CHECK(align != 0 && (align & (align - 1)) == 0,
              "arena alignment must be a power of two");

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace gv {
 
@@ -22,40 +23,15 @@ void Table::add_row(std::vector<std::string> row) {
 }
 
 namespace {
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+/// Emit a cell as a JSON number when it is exactly one finite JSON number
+/// ("1.", "01", "+5" and hex floats parse with strtod but are not JSON),
+/// else as a string.
+void append_json_cell(std::string& out, const std::string& s) {
+  if (is_json_number(s) && std::isfinite(std::strtod(s.c_str(), nullptr))) {
+    out += s;
+  } else {
+    append_json_string(out, s);
   }
-  return out;
-}
-
-/// Emit a cell as a JSON number when it parses as one, else as a string.
-/// strtod alone is too permissive (hex floats, leading whitespace, '+5'):
-/// the character precheck keeps the raw emission to tokens that are also
-/// valid JSON numbers.
-std::string json_cell(const std::string& s) {
-  if (!s.empty() && (s[0] == '-' || (s[0] >= '0' && s[0] <= '9')) &&
-      s.find_first_not_of("0123456789.eE+-") == std::string::npos) {
-    char* end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() + s.size() && std::isfinite(v)) return s;
-  }
-  return "\"" + json_escape(s) + "\"";
 }
 
 std::string csv_escape(const std::string& s) {
@@ -122,26 +98,28 @@ std::string Table::to_csv() const {
 }
 
 std::string Table::to_json() const {
-  std::ostringstream out;
-  out << "{\"title\": \"" << json_escape(title_) << "\", \"header\": [";
+  std::string out = "{\"title\": ";
+  append_json_string(out, title_);
+  out += ", \"header\": [";
   for (std::size_t c = 0; c < header_.size(); ++c) {
-    if (c) out << ", ";
-    out << '"' << json_escape(header_[c]) << '"';
+    if (c) out += ", ";
+    append_json_string(out, header_[c]);
   }
-  out << "], \"rows\": [";
+  out += "], \"rows\": [";
   for (std::size_t r = 0; r < rows_.size(); ++r) {
-    if (r) out << ", ";
-    out << '{';
+    if (r) out += ", ";
+    out += '{';
     for (std::size_t c = 0; c < rows_[r].size(); ++c) {
-      if (c) out << ", ";
-      const std::string key =
-          c < header_.size() ? header_[c] : "col" + std::to_string(c);
-      out << '"' << json_escape(key) << "\": " << json_cell(rows_[r][c]);
+      if (c) out += ", ";
+      append_json_string(
+          out, c < header_.size() ? header_[c] : "col" + std::to_string(c));
+      out += ": ";
+      append_json_cell(out, rows_[r][c]);
     }
-    out << '}';
+    out += '}';
   }
-  out << "]}";
-  return out.str();
+  out += "]}";
+  return out;
 }
 
 void Table::print() const {

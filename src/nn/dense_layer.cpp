@@ -17,6 +17,8 @@ Matrix DenseLayer::forward(const Matrix& x, bool training) {
     cached_dense_input_ = x;
     cached_sparse_input_ = nullptr;
     cached_sparse_ = false;
+  } else {
+    release_training_cache();
   }
   Matrix y = matmul(x, w_.value);
   add_bias_rows(y, b_.value);
@@ -29,6 +31,8 @@ Matrix DenseLayer::forward(const CsrMatrix& x, bool training) {
     cached_sparse_input_ = &x;
     cached_sparse_ = true;
     cached_dense_input_ = Matrix();
+  } else {
+    release_training_cache();
   }
   Matrix y = spmm(x, w_.value);
   add_bias_rows(y, b_.value);
@@ -51,6 +55,12 @@ void DenseLayer::backward_sparse_input(const Matrix& dy) {
   w_.grad += spmm_tn(*cached_sparse_input_, dy);
   const auto db = col_sums(dy);
   for (std::size_t i = 0; i < db.size(); ++i) b_.grad[i] += db[i];
+}
+
+void DenseLayer::release_training_cache() {
+  cached_dense_input_ = Matrix();
+  cached_sparse_input_ = nullptr;
+  cached_sparse_ = false;
 }
 
 void DenseLayer::collect_parameters(ParamRefs& refs) {

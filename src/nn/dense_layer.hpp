@@ -18,6 +18,8 @@ class DenseLayer {
   std::size_t out_dim() const { return w_.value.cols(); }
   std::size_t parameter_count() const { return w_.count() + b_.count(); }
 
+  /// A training forward caches what backward() needs; an inference
+  /// forward releases it (a backward() after it throws).
   Matrix forward(const Matrix& x, bool training);
   Matrix forward(const CsrMatrix& x, bool training);
 
@@ -30,6 +32,8 @@ class DenseLayer {
   void collect_parameters(ParamRefs& refs);
 
  private:
+  void release_training_cache();
+
   Parameter w_;
   VectorParameter b_;
   Matrix cached_dense_input_;

@@ -78,6 +78,13 @@ Matrix GatLayer::forward(const CsrMatrix& adj, const Matrix& x, bool training) {
     cached_z_ = std::move(z);
     cached_alpha_ = std::move(alpha);
     cached_pre_ = std::move(pre);
+  } else {
+    // Release, not clear(): a trained layer keeps no training buffers
+    // while it serves, and a backward() after this forward throws.
+    cached_input_ = Matrix();
+    cached_z_ = Matrix();
+    cached_alpha_ = std::vector<float>();
+    cached_pre_ = std::vector<float>();
   }
   return y;
 }

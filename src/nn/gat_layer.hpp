@@ -29,6 +29,8 @@ class GatLayer {
   }
 
   /// `adj` must be the binary adjacency with self-loops (values ignored).
+  /// A training forward caches what backward() needs; an inference forward
+  /// releases it.
   Matrix forward(const CsrMatrix& adj, const Matrix& x, bool training);
 
   /// Accumulates gradients; returns dL/dx for the input columns from

@@ -19,6 +19,8 @@ Matrix GcnLayer::forward(const CsrMatrix& adj, const Matrix& x, bool training) {
     cached_dense_input_ = x;
     cached_sparse_input_ = nullptr;
     cached_sparse_ = false;
+  } else {
+    release_training_cache();
   }
   Matrix xw = matmul(x, w_.value);
   Matrix y = spmm(adj, xw);
@@ -34,6 +36,8 @@ Matrix GcnLayer::forward(const CsrMatrix& adj, const CsrMatrix& x, bool training
     cached_sparse_input_ = &x;
     cached_sparse_ = true;
     cached_dense_input_ = Matrix();
+  } else {
+    release_training_cache();
   }
   Matrix xw = spmm(x, w_.value);
   Matrix y = spmm(adj, xw);
@@ -75,6 +79,12 @@ void GcnLayer::backward_sparse_input(const CsrMatrix& adj, const Matrix& dy) {
   w_.grad += spmm_tn(*cached_sparse_input_, dxw);
   const auto db = col_sums(dy);
   for (std::size_t i = 0; i < db.size(); ++i) b_.grad[i] += db[i];
+}
+
+void GcnLayer::release_training_cache() {
+  cached_dense_input_ = Matrix();
+  cached_sparse_input_ = nullptr;
+  cached_sparse_ = false;
 }
 
 void GcnLayer::collect_parameters(ParamRefs& refs) {

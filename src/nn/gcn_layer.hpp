@@ -28,7 +28,9 @@ class GcnLayer {
   std::size_t parameter_count() const { return w_.count() + b_.count(); }
 
   /// Forward with dense input; `adj` is the normalized adjacency Â.
-  /// Caches what backward() needs when `training` is true.
+  /// Caches what backward() needs when `training` is true; an inference
+  /// forward releases that cache, so a trained layer serving labels holds
+  /// no copy of its last training input and a backward() after it throws.
   Matrix forward(const CsrMatrix& adj, const Matrix& x, bool training);
 
   /// Forward with sparse input (first layer over raw features).
@@ -59,6 +61,8 @@ class GcnLayer {
   void collect_parameters(ParamRefs& refs);
 
  private:
+  void release_training_cache();
+
   Parameter w_;
   VectorParameter b_;
   // Cached forward state (training mode only).

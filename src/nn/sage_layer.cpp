@@ -31,6 +31,8 @@ Matrix SageLayer::forward(const SagePropagation& prop, const Matrix& x,
     cached_aggregated_ = agg;
     cached_sparse_input_ = nullptr;
     cached_sparse_ = false;
+  } else {
+    release_training_cache();
   }
   Matrix y = matmul(x, w_self_.value);
   matmul_acc(agg, w_neigh_.value, y);
@@ -52,6 +54,8 @@ Matrix SageLayer::forward(const SagePropagation& prop, const CsrMatrix& x,
     cached_aggregated_ = agg;
     cached_dense_input_ = Matrix();
     cached_sparse_ = true;
+  } else {
+    release_training_cache();
   }
   Matrix y = spmm(x, w_self_.value);
   matmul_acc(agg, w_neigh_.value, y);
@@ -83,6 +87,13 @@ void SageLayer::backward_sparse_input(const SagePropagation& prop,
   w_neigh_.grad += matmul_tn(cached_aggregated_, dy);
   const auto db = col_sums(dy);
   for (std::size_t i = 0; i < db.size(); ++i) b_.grad[i] += db[i];
+}
+
+void SageLayer::release_training_cache() {
+  cached_dense_input_ = Matrix();
+  cached_aggregated_ = Matrix();
+  cached_sparse_input_ = nullptr;
+  cached_sparse_ = false;
 }
 
 void SageLayer::collect_parameters(ParamRefs& refs) {

@@ -35,6 +35,8 @@ class SageLayer {
     return w_self_.count() + w_neigh_.count() + b_.count();
   }
 
+  /// A training forward caches what backward() needs; an inference
+  /// forward releases it (a backward() after it throws).
   Matrix forward(const SagePropagation& prop, const Matrix& x, bool training);
   Matrix forward(const SagePropagation& prop, const CsrMatrix& x, bool training);
 
@@ -48,6 +50,8 @@ class SageLayer {
   void collect_parameters(ParamRefs& refs);
 
  private:
+  void release_training_cache();
+
   Parameter w_self_;
   Parameter w_neigh_;
   VectorParameter b_;

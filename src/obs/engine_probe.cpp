@@ -1,9 +1,9 @@
 #include "obs/engine_probe.hpp"
 
-#include <cstdio>
 #include <mutex>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "serve/batch_queue.hpp"
 #include "serve/submit_token.hpp"
 
@@ -24,25 +24,6 @@ std::mutex& probes_mu() {
 std::vector<EngineProbe*>& probes() {
   static std::vector<EngineProbe*> v;
   return v;
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -235,10 +216,10 @@ void EngineProbe::pull() {
   }
 
   std::ostringstream os;
-  os << "{\"engine\":\"";
-  std::string esc;
-  append_escaped(esc, engine_);
-  os << esc << "\",\"workers\":" << snaps.size() << ",\"executed\":{";
+  std::string name;
+  append_json_string(name, engine_);
+  os << "{\"engine\":" << name << ",\"workers\":" << snaps.size()
+     << ",\"executed\":{";
   for (std::size_t c = 0; c < kNumJobClasses; ++c) {
     if (c != 0) os << ",";
     os << "\"" << kLaneNames[c] << "\":" << exec_total[c];

@@ -1,15 +1,11 @@
 #include "obs/flight_recorder.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <map>
-#include <memory>
-#include <vector>
 
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile_export.hpp"
@@ -25,8 +21,6 @@ const char* fault_kind_name(FaultKind kind) {
       return "promotion_failure";
     case FaultKind::kChannelAnomaly:
       return "channel_anomaly";
-    case FaultKind::kSloPage:
-      return "slo_page";
     case FaultKind::kManual:
       return "manual";
   }
@@ -60,12 +54,6 @@ bool FlightRecorder::armed() const {
   return armed_;
 }
 
-void FlightRecorder::attach_timeseries(const TimeSeriesRing* ring) {
-  std::lock_guard<std::mutex> lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
-  ring_ = ring;
-}
-
 void FlightRecorder::set_topology_provider(
     const void* owner, std::function<std::string()> provider) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -88,32 +76,6 @@ std::uint64_t FlightRecorder::trips() const {
   return trips_;
 }
 
-namespace {
-
-void append_escaped(std::string& out, const char* s) {
-  for (; s != nullptr && *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
-void append_number(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
-}
-
-}  // namespace
-
 std::string FlightRecorder::trip(FaultKind kind, int shard,
                                  const std::string& detail) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -125,15 +87,15 @@ std::string FlightRecorder::trip(FaultKind kind, int shard,
   if (!armed_) return "";
 
   auto& rec = TraceRecorder::instance();
-  std::string out = "{\"schema\": \"gnnvault.flight_recorder.v1\"";
+  std::string out = "{\"schema\": \"gnnvault.flight_recorder.v2\"";
   out += ", \"seq\": " + std::to_string(seq_);
   out += ", \"wall_ns\": " + std::to_string(rec.now_ns());
   out += ", \"fault\": {\"kind\": \"";
   out += fault_kind_name(kind);
   out += "\", \"shard\": " + std::to_string(shard);
-  out += ", \"detail\": \"";
-  append_escaped(out, detail.c_str());
-  out += "\"}";
+  out += ", \"detail\": ";
+  append_json_string(out, detail);
+  out += "}";
 
   // Most recent spans across every thread ring (snapshot() sorts by start).
   out += ", \"spans\": [";
@@ -143,21 +105,20 @@ std::string FlightRecorder::trip(FaultKind kind, int shard,
     for (std::size_t i = events.size() - take; i < events.size(); ++i) {
       const auto& ev = events[i];
       if (i != events.size() - take) out += ", ";
-      out += "{\"cat\": \"";
-      append_escaped(out, ev.category);
-      out += "\", \"name\": \"";
-      append_escaped(out, ev.name);
-      out += "\", \"ts_ns\": " + std::to_string(ev.start_ns);
+      out += "{\"cat\": ";
+      append_json_string(out, ev.category);
+      out += ", \"name\": ";
+      append_json_string(out, ev.name);
+      out += ", \"ts_ns\": " + std::to_string(ev.start_ns);
       out += ", \"dur_ns\": " + std::to_string(ev.dur_ns);
       out += ", \"modeled_sgx_s\": ";
-      append_number(out, ev.modeled_s);
+      append_json_number(out, ev.modeled_s);
       out += ", \"args\": {";
       for (int a = 0; a < ev.num_args; ++a) {
         if (a != 0) out += ", ";
-        out.push_back('"');
-        append_escaped(out, ev.args[a].key);
-        out += "\": ";
-        append_number(out, ev.args[a].value);
+        append_json_string(out, ev.args[a].key);
+        out += ": ";
+        append_json_number(out, ev.args[a].value);
       }
       out += "}}";
     }
@@ -168,8 +129,6 @@ std::string FlightRecorder::trip(FaultKind kind, int shard,
   // EngineScope ops snapshot (cached ledger + last-pulled engine probes):
   // leaf-lock-only, so it is safe under the fault-path locks trip() allows.
   out += ", \"ops\": " + ops_report_cached();
-  out += ", \"timeseries\": ";
-  out += ring_ != nullptr ? ring_->to_json() : std::string("null");
   out += ", \"topology\": ";
   if (topology_) {
     // A provider that throws mid-fault must not mask the fault itself.
@@ -202,158 +161,9 @@ std::string FlightRecorder::trip(FaultKind kind, int shard,
   return path;
 }
 
-// --- Bundle validation. ------------------------------------------------------
-//
-// Independent of the writer above (like validate_trace_json): a minimal
-// recursive-descent JSON reader that materializes just enough structure to
-// check the schema, so a writer bug cannot validate its own output.
+// --- Bundle validation: a schema walk over the shared codec's tree. ---------
 
 namespace {
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  double number = 0.0;
-  bool boolean = false;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-};
-
-struct JsonParser {
-  const std::string& s;
-  std::size_t pos = 0;
-  std::string error;
-
-  explicit JsonParser(const std::string& text) : s(text) {}
-
-  bool fail(const std::string& why) {
-    error = why + " at byte " + std::to_string(pos);
-    return false;
-  }
-  void skip_ws() {
-    while (pos < s.size() && std::isspace(static_cast<unsigned char>(s[pos]))) {
-      ++pos;
-    }
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (pos >= s.size() || s[pos] != c) {
-      return fail(std::string("expected '") + c + "'");
-    }
-    ++pos;
-    return true;
-  }
-
-  bool parse_string(std::string* out) {
-    if (!consume('"')) return false;
-    while (pos < s.size() && s[pos] != '"') {
-      if (s[pos] == '\\') {
-        ++pos;
-        if (pos >= s.size()) return fail("truncated escape");
-        const char e = s[pos];
-        if (e == 'u') {
-          if (pos + 4 >= s.size()) return fail("truncated \\u escape");
-          pos += 4;
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' && e != 'f' &&
-                   e != 'n' && e != 'r' && e != 't') {
-          return fail("bad escape");
-        }
-        if (out != nullptr && e != 'u') out->push_back(e);
-      } else {
-        if (out != nullptr) out->push_back(s[pos]);
-      }
-      ++pos;
-    }
-    if (pos >= s.size()) return fail("unterminated string");
-    ++pos;  // closing quote
-    return true;
-  }
-
-  bool parse_value(JsonValue* v) {
-    skip_ws();
-    if (pos >= s.size()) return fail("unexpected end of input");
-    const char c = s[pos];
-    if (c == '{') {
-      ++pos;
-      v->type = JsonValue::Type::kObject;
-      skip_ws();
-      if (pos < s.size() && s[pos] == '}') {
-        ++pos;
-        return true;
-      }
-      for (;;) {
-        std::string key;
-        skip_ws();
-        if (!parse_string(&key)) return false;
-        if (!consume(':')) return false;
-        JsonValue child;
-        if (!parse_value(&child)) return false;
-        v->object.emplace(std::move(key), std::move(child));
-        skip_ws();
-        if (pos < s.size() && s[pos] == ',') {
-          ++pos;
-          continue;
-        }
-        return consume('}');
-      }
-    }
-    if (c == '[') {
-      ++pos;
-      v->type = JsonValue::Type::kArray;
-      skip_ws();
-      if (pos < s.size() && s[pos] == ']') {
-        ++pos;
-        return true;
-      }
-      for (;;) {
-        JsonValue child;
-        if (!parse_value(&child)) return false;
-        v->array.push_back(std::move(child));
-        skip_ws();
-        if (pos < s.size() && s[pos] == ',') {
-          ++pos;
-          continue;
-        }
-        return consume(']');
-      }
-    }
-    if (c == '"') {
-      v->type = JsonValue::Type::kString;
-      return parse_string(&v->str);
-    }
-    if (s.compare(pos, 4, "true") == 0) {
-      v->type = JsonValue::Type::kBool;
-      v->boolean = true;
-      pos += 4;
-      return true;
-    }
-    if (s.compare(pos, 5, "false") == 0) {
-      v->type = JsonValue::Type::kBool;
-      pos += 5;
-      return true;
-    }
-    if (s.compare(pos, 4, "null") == 0) {
-      v->type = JsonValue::Type::kNull;
-      pos += 4;
-      return true;
-    }
-    // Number.
-    const std::size_t start = pos;
-    if (pos < s.size() && (s[pos] == '-' || s[pos] == '+')) ++pos;
-    bool digits = false;
-    while (pos < s.size() &&
-           (std::isdigit(static_cast<unsigned char>(s[pos])) || s[pos] == '.' ||
-            s[pos] == 'e' || s[pos] == 'E' || s[pos] == '-' || s[pos] == '+')) {
-      if (std::isdigit(static_cast<unsigned char>(s[pos]))) digits = true;
-      ++pos;
-    }
-    if (!digits) return fail("invalid value");
-    v->type = JsonValue::Type::kNumber;
-    v->number = std::strtod(s.c_str() + start, nullptr);
-    return true;
-  }
-};
 
 bool bundle_error(std::string* error, const std::string& why) {
   if (error != nullptr) *error = why;
@@ -363,109 +173,85 @@ bool bundle_error(std::string* error, const std::string& why) {
 }  // namespace
 
 bool validate_flight_bundle(const std::string& json, std::string* error) {
-  JsonParser p(json);
+  using Type = JsonValue::Type;
   JsonValue root;
-  if (!p.parse_value(&root)) return bundle_error(error, p.error);
-  p.skip_ws();
-  if (p.pos != json.size()) {
-    return bundle_error(error, "trailing bytes after the bundle document");
-  }
-  if (root.type != JsonValue::Type::kObject) {
+  std::string why;
+  if (!parse_json(json, &root, &why)) return bundle_error(error, why);
+  if (root.type != Type::kObject) {
     return bundle_error(error, "bundle root is not an object");
   }
 
-  const auto schema = root.object.find("schema");
-  if (schema == root.object.end() ||
-      schema->second.type != JsonValue::Type::kString ||
-      schema->second.str != "gnnvault.flight_recorder.v1") {
+  const JsonValue* schema = root.get("schema", Type::kString);
+  if (schema == nullptr || schema->str != "gnnvault.flight_recorder.v2") {
     return bundle_error(error, "missing or unknown schema");
   }
   for (const char* key : {"seq", "wall_ns"}) {
-    const auto it = root.object.find(key);
-    if (it == root.object.end() ||
-        it->second.type != JsonValue::Type::kNumber) {
+    if (root.get(key, Type::kNumber) == nullptr) {
       return bundle_error(error, std::string(key) + " missing or not a number");
     }
   }
 
-  const auto fault = root.object.find("fault");
-  if (fault == root.object.end() ||
-      fault->second.type != JsonValue::Type::kObject) {
+  const JsonValue* fault = root.get("fault", Type::kObject);
+  if (fault == nullptr) {
     return bundle_error(error, "fault missing or not an object");
   }
-  const auto& fobj = fault->second.object;
-  const auto fkind = fobj.find("kind");
-  if (fkind == fobj.end() || fkind->second.type != JsonValue::Type::kString) {
+  const JsonValue* fkind = fault->get("kind", Type::kString);
+  if (fkind == nullptr) {
     return bundle_error(error, "fault.kind missing or not a string");
   }
   bool known = false;
-  for (const auto k :
-       {FaultKind::kDeadShard, FaultKind::kPromotionFailure,
-        FaultKind::kChannelAnomaly, FaultKind::kSloPage, FaultKind::kManual}) {
-    if (fkind->second.str == fault_kind_name(k)) known = true;
+  for (const auto k : {FaultKind::kDeadShard, FaultKind::kPromotionFailure,
+                       FaultKind::kChannelAnomaly, FaultKind::kManual}) {
+    if (fkind->str == fault_kind_name(k)) known = true;
   }
-  if (!known) return bundle_error(error, "fault.kind '" + fkind->second.str +
-                                             "' is not a known fault");
-  if (fobj.find("shard") == fobj.end() ||
-      fobj.at("shard").type != JsonValue::Type::kNumber) {
+  if (!known) {
+    return bundle_error(error,
+                        "fault.kind '" + fkind->str + "' is not a known fault");
+  }
+  if (fault->get("shard", Type::kNumber) == nullptr) {
     return bundle_error(error, "fault.shard missing or not a number");
   }
-  if (fobj.find("detail") == fobj.end() ||
-      fobj.at("detail").type != JsonValue::Type::kString) {
+  if (fault->get("detail", Type::kString) == nullptr) {
     return bundle_error(error, "fault.detail missing or not a string");
   }
 
-  const auto spans = root.object.find("spans");
-  if (spans == root.object.end() ||
-      spans->second.type != JsonValue::Type::kArray) {
+  const JsonValue* spans = root.get("spans", Type::kArray);
+  if (spans == nullptr) {
     return bundle_error(error, "spans missing or not an array");
   }
-  for (const auto& sp : spans->second.array) {
-    if (sp.type != JsonValue::Type::kObject) {
+  for (const JsonValue& sp : spans->array) {
+    if (sp.type != Type::kObject) {
       return bundle_error(error, "span entry is not an object");
     }
     for (const char* key : {"cat", "name"}) {
-      const auto it = sp.object.find(key);
-      if (it == sp.object.end() ||
-          it->second.type != JsonValue::Type::kString) {
+      if (sp.get(key, Type::kString) == nullptr) {
         return bundle_error(error,
                             std::string("span ") + key + " missing/not string");
       }
     }
     for (const char* key : {"ts_ns", "dur_ns", "modeled_sgx_s"}) {
-      const auto it = sp.object.find(key);
-      if (it == sp.object.end() ||
-          it->second.type != JsonValue::Type::kNumber) {
+      if (sp.get(key, Type::kNumber) == nullptr) {
         return bundle_error(error,
                             std::string("span ") + key + " missing/not number");
       }
     }
   }
 
-  const auto metrics = root.object.find("metrics");
-  if (metrics == root.object.end() ||
-      metrics->second.type != JsonValue::Type::kObject) {
+  const JsonValue* metrics = root.get("metrics", Type::kObject);
+  if (metrics == nullptr) {
     return bundle_error(error, "metrics missing or not an object");
   }
   for (const char* key : {"counters", "gauges", "histograms"}) {
-    const auto it = metrics->second.object.find(key);
-    if (it == metrics->second.object.end() ||
-        it->second.type != JsonValue::Type::kArray) {
+    if (metrics->get(key, Type::kArray) == nullptr) {
       return bundle_error(error,
                           std::string("metrics.") + key + " missing/not array");
     }
   }
 
-  for (const char* key : {"timeseries", "topology"}) {
-    const auto it = root.object.find(key);
-    if (it == root.object.end()) {
-      return bundle_error(error, std::string(key) + " missing");
-    }
-    if (it->second.type != JsonValue::Type::kObject &&
-        it->second.type != JsonValue::Type::kNull) {
-      return bundle_error(error,
-                          std::string(key) + " must be an object or null");
-    }
+  const JsonValue* topology = root.find("topology");
+  if (topology == nullptr) return bundle_error(error, "topology missing");
+  if (topology->type != Type::kObject && topology->type != Type::kNull) {
+    return bundle_error(error, "topology must be an object or null");
   }
   return true;
 }

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace gv {
 
@@ -155,25 +155,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   return *slot;
 }
 
-RegistrySample MetricsRegistry::sample() const {
-  MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kTelemetry);
-  RegistrySample s;
-  s.counters.reserve(counters_.size());
-  for (const auto& [key, c] : counters_) {
-    s.counters.push_back({key.name, key.labels, c->value()});
-  }
-  s.gauges.reserve(gauges_.size());
-  for (const auto& [key, g] : gauges_) {
-    s.gauges.push_back({key.name, key.labels, g->value()});
-  }
-  s.histograms.reserve(histograms_.size());
-  for (const auto& [key, h] : histograms_) {
-    s.histograms.push_back({key.name, key.labels, h->snapshot()});
-  }
-  return s;
-}
-
 std::size_t MetricsRegistry::size() const {
   MutexLock lock(mu_);
   GV_RANK_SCOPE(lockrank::kTelemetry);
@@ -190,13 +171,6 @@ void MetricsRegistry::reset() {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-}
-
 void append_labels(std::string& out,
                    const std::map<std::string, MetricLabels>& sets,
                    const std::string& canonical) {
@@ -207,20 +181,12 @@ void append_labels(std::string& out,
     for (const auto& [k, v] : it->second.kv) {
       if (!first) out += ", ";
       first = false;
-      out.push_back('"');
-      append_escaped(out, k);
-      out += "\": \"";
-      append_escaped(out, v);
-      out.push_back('"');
+      append_json_string(out, k);
+      out += ": ";
+      append_json_string(out, v);
     }
   }
   out += "}";
-}
-
-void append_number(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
 }
 
 }  // namespace
@@ -233,9 +199,9 @@ std::string MetricsRegistry::to_json() const {
   for (const auto& [key, c] : counters_) {
     if (!first) out += ", ";
     first = false;
-    out += "{\"name\": \"";
-    append_escaped(out, key.name);
-    out += "\", ";
+    out += "{\"name\": ";
+    append_json_string(out, key.name);
+    out += ", ";
     append_labels(out, label_sets_, key.labels);
     out += ", \"value\": " + std::to_string(c->value()) + "}";
   }
@@ -244,12 +210,12 @@ std::string MetricsRegistry::to_json() const {
   for (const auto& [key, g] : gauges_) {
     if (!first) out += ", ";
     first = false;
-    out += "{\"name\": \"";
-    append_escaped(out, key.name);
-    out += "\", ";
+    out += "{\"name\": ";
+    append_json_string(out, key.name);
+    out += ", ";
     append_labels(out, label_sets_, key.labels);
     out += ", \"value\": ";
-    append_number(out, g->value());
+    append_json_number(out, g->value());
     out += "}";
   }
   out += "], \"histograms\": [";
@@ -258,25 +224,25 @@ std::string MetricsRegistry::to_json() const {
     if (!first) out += ", ";
     first = false;
     const auto s = h->snapshot();
-    out += "{\"name\": \"";
-    append_escaped(out, key.name);
-    out += "\", ";
+    out += "{\"name\": ";
+    append_json_string(out, key.name);
+    out += ", ";
     append_labels(out, label_sets_, key.labels);
     out += ", \"count\": " + std::to_string(s.count);
     out += ", \"sum\": ";
-    append_number(out, s.sum);
+    append_json_number(out, s.sum);
     out += ", \"min\": ";
-    append_number(out, s.min);
+    append_json_number(out, s.min);
     out += ", \"max\": ";
-    append_number(out, s.max);
+    append_json_number(out, s.max);
     out += ", \"mean\": ";
-    append_number(out, s.mean());
+    append_json_number(out, s.mean());
     out += ", \"p50\": ";
-    append_number(out, s.percentile(0.50));
+    append_json_number(out, s.percentile(0.50));
     out += ", \"p95\": ";
-    append_number(out, s.percentile(0.95));
+    append_json_number(out, s.percentile(0.95));
     out += ", \"p99\": ";
-    append_number(out, s.percentile(0.99));
+    append_json_number(out, s.percentile(0.99));
     out += "}";
   }
   out += "]}";

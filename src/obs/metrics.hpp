@@ -120,30 +120,6 @@ class Histogram {
   std::atomic<bool> has_min_{false};
 };
 
-/// Point-in-time copy of every instrument in a registry, with canonical
-/// label strings — the enumeration surface TimeSeriesRing aggregates over
-/// (instrument references alone cannot be enumerated without the lock).
-struct RegistrySample {
-  struct CounterSample {
-    std::string name;
-    std::string labels;  // MetricLabels::canonical()
-    std::uint64_t value = 0;
-  };
-  struct GaugeSample {
-    std::string name;
-    std::string labels;
-    double value = 0.0;
-  };
-  struct HistogramSample {
-    std::string name;
-    std::string labels;
-    Histogram::Snapshot snap;
-  };
-  std::vector<CounterSample> counters;
-  std::vector<GaugeSample> gauges;
-  std::vector<HistogramSample> histograms;
-};
-
 class MetricsRegistry {
  public:
   /// Process-wide default registry (DriftTracker gauges, EPC headroom...).
@@ -158,10 +134,6 @@ class MetricsRegistry {
   Gauge& gauge(const std::string& name, const MetricLabels& labels = {});
   Histogram& histogram(const std::string& name, const MetricLabels& labels = {});
 
-  /// Copy out every instrument's current value (names sorted by
-  /// (name, labels) — the map order).  One lock acquisition, no sorting.
-  RegistrySample sample() const;
-
   /// Number of registered instruments (all kinds).
   std::size_t size() const;
   /// Zero every instrument (instruments stay registered; references stay
@@ -170,8 +142,10 @@ class MetricsRegistry {
 
   /// One JSON object: {"counters": [{"name","labels","value"}...],
   /// "gauges": [...], "histograms": [{"name","labels","count","sum","min",
-  /// "max","p50","p95","p99"}...]}.  Embeddable in bench_common's --json
-  /// artifacts and the VaultScope snapshot file.
+  /// "max","mean","p50","p95","p99"}...]}.  Names and label values may hold
+  /// any bytes (an `engine` label is a caller's tenant string); the shared
+  /// codec (common/json.hpp) escapes them.  Embeddable in bench_common's
+  /// --json artifacts and the VaultScope snapshot file.
   std::string to_json() const;
   void write_json(const std::string& path) const;
 

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "obs/engine_probe.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tenant_ledger.hpp"
@@ -207,288 +208,81 @@ void write_ops_report(const std::string& path) {
   out << ops_report();
 }
 
-// --- Ops-report validation. --------------------------------------------------
-//
-// Independent of the writers above (flight-recorder idiom): a fresh minimal
-// JSON reader, so a writer bug cannot validate its own output.
+// --- Ops-report validation: a schema walk over the shared codec's tree. ----
 
 namespace {
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  double number = 0.0;
-  bool boolean = false;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-};
-
-struct JsonParser {
-  const std::string& s;
-  std::size_t pos = 0;
-  std::string error;
-
-  explicit JsonParser(const std::string& text) : s(text) {}
-
-  bool fail(const std::string& why) {
-    error = why + " at byte " + std::to_string(pos);
-    return false;
-  }
-  void skip_ws() {
-    while (pos < s.size() && std::isspace(static_cast<unsigned char>(s[pos]))) {
-      ++pos;
-    }
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (pos >= s.size() || s[pos] != c) {
-      return fail(std::string("expected '") + c + "'");
-    }
-    ++pos;
-    return true;
-  }
-
-  static int hex_digit(char c) {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    return -1;
-  }
-
-  bool parse_string(std::string* out) {
-    if (!consume('"')) return false;
-    while (pos < s.size() && s[pos] != '"') {
-      if (s[pos] == '\\') {
-        ++pos;
-        if (pos >= s.size()) return fail("truncated escape");
-        const char e = s[pos];
-        if (e == 'u') {
-          if (pos + 4 >= s.size()) return fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int k = 1; k <= 4; ++k) {
-            const int d = hex_digit(s[pos + k]);
-            if (d < 0) return fail("bad \\u escape");
-            code = code * 16 + static_cast<unsigned>(d);
-          }
-          pos += 4;
-          if (out != nullptr) {
-            // UTF-8 encode the BMP code point (the writers only emit \u for
-            // control characters, but decode the full range anyway).
-            if (code < 0x80) {
-              out->push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
-              out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            }
-          }
-        } else {
-          char decoded;
-          switch (e) {
-            case '"': decoded = '"'; break;
-            case '\\': decoded = '\\'; break;
-            case '/': decoded = '/'; break;
-            case 'b': decoded = '\b'; break;
-            case 'f': decoded = '\f'; break;
-            case 'n': decoded = '\n'; break;
-            case 'r': decoded = '\r'; break;
-            case 't': decoded = '\t'; break;
-            default: return fail("bad escape");
-          }
-          if (out != nullptr) out->push_back(decoded);
-        }
-      } else {
-        if (out != nullptr) out->push_back(s[pos]);
-      }
-      ++pos;
-    }
-    if (pos >= s.size()) return fail("unterminated string");
-    ++pos;
-    return true;
-  }
-
-  bool parse_value(JsonValue* v) {
-    skip_ws();
-    if (pos >= s.size()) return fail("unexpected end of input");
-    const char c = s[pos];
-    if (c == '{') {
-      ++pos;
-      v->type = JsonValue::Type::kObject;
-      skip_ws();
-      if (pos < s.size() && s[pos] == '}') {
-        ++pos;
-        return true;
-      }
-      for (;;) {
-        std::string key;
-        skip_ws();
-        if (!parse_string(&key)) return false;
-        if (!consume(':')) return false;
-        JsonValue child;
-        if (!parse_value(&child)) return false;
-        v->object.emplace(std::move(key), std::move(child));
-        skip_ws();
-        if (pos < s.size() && s[pos] == ',') {
-          ++pos;
-          continue;
-        }
-        return consume('}');
-      }
-    }
-    if (c == '[') {
-      ++pos;
-      v->type = JsonValue::Type::kArray;
-      skip_ws();
-      if (pos < s.size() && s[pos] == ']') {
-        ++pos;
-        return true;
-      }
-      for (;;) {
-        JsonValue child;
-        if (!parse_value(&child)) return false;
-        v->array.push_back(std::move(child));
-        skip_ws();
-        if (pos < s.size() && s[pos] == ',') {
-          ++pos;
-          continue;
-        }
-        return consume(']');
-      }
-    }
-    if (c == '"') {
-      v->type = JsonValue::Type::kString;
-      return parse_string(&v->str);
-    }
-    if (s.compare(pos, 4, "true") == 0) {
-      v->type = JsonValue::Type::kBool;
-      v->boolean = true;
-      pos += 4;
-      return true;
-    }
-    if (s.compare(pos, 5, "false") == 0) {
-      v->type = JsonValue::Type::kBool;
-      pos += 5;
-      return true;
-    }
-    if (s.compare(pos, 4, "null") == 0) {
-      v->type = JsonValue::Type::kNull;
-      pos += 4;
-      return true;
-    }
-    const std::size_t start = pos;
-    if (pos < s.size() && (s[pos] == '-' || s[pos] == '+')) ++pos;
-    bool digits = false;
-    while (pos < s.size() &&
-           (std::isdigit(static_cast<unsigned char>(s[pos])) || s[pos] == '.' ||
-            s[pos] == 'e' || s[pos] == 'E' || s[pos] == '-' || s[pos] == '+')) {
-      if (std::isdigit(static_cast<unsigned char>(s[pos]))) digits = true;
-      ++pos;
-    }
-    if (!digits) return fail("invalid value");
-    v->type = JsonValue::Type::kNumber;
-    v->number = std::strtod(s.c_str() + start, nullptr);
-    return true;
-  }
-};
 
 bool report_error(std::string* error, const std::string& why) {
   if (error != nullptr) *error = why;
   return false;
 }
 
-const JsonValue* find_typed(const JsonValue& obj, const std::string& key,
-                            JsonValue::Type type) {
-  const auto it = obj.object.find(key);
-  if (it == obj.object.end() || it->second.type != type) return nullptr;
-  return &it->second;
-}
-
 }  // namespace
 
 bool validate_ops_report(const std::string& json, std::string* error) {
-  JsonParser p(json);
+  using Type = JsonValue::Type;
   JsonValue root;
-  if (!p.parse_value(&root)) return report_error(error, p.error);
-  p.skip_ws();
-  if (p.pos != json.size()) {
-    return report_error(error, "trailing bytes after the report document");
-  }
-  if (root.type != JsonValue::Type::kObject) {
+  std::string why;
+  if (!parse_json(json, &root, &why)) return report_error(error, why);
+  if (root.type != Type::kObject) {
     return report_error(error, "report root is not an object");
   }
-  const JsonValue* schema =
-      find_typed(root, "schema", JsonValue::Type::kString);
+  const JsonValue* schema = root.get("schema", Type::kString);
   if (schema == nullptr || schema->str != "gnnvault.ops_report.v1") {
     return report_error(error, "missing or unknown schema");
   }
-  if (find_typed(root, "wall_ns", JsonValue::Type::kNumber) == nullptr) {
+  if (root.get("wall_ns", Type::kNumber) == nullptr) {
     return report_error(error, "wall_ns missing or not a number");
   }
-  const JsonValue* metrics =
-      find_typed(root, "metrics", JsonValue::Type::kObject);
+  const JsonValue* metrics = root.get("metrics", Type::kObject);
   if (metrics == nullptr) {
     return report_error(error, "metrics missing or not an object");
   }
   for (const char* key : {"counters", "gauges", "histograms"}) {
-    if (find_typed(*metrics, key, JsonValue::Type::kArray) == nullptr) {
-      return report_error(error,
-                          std::string("metrics.") + key + " missing");
+    if (metrics->get(key, Type::kArray) == nullptr) {
+      return report_error(error, std::string("metrics.") + key + " missing");
     }
   }
-  const JsonValue* tenants =
-      find_typed(root, "tenants", JsonValue::Type::kObject);
+  const JsonValue* tenants = root.get("tenants", Type::kObject);
   if (tenants == nullptr) {
     return report_error(error, "tenants missing or not an object");
   }
-  const JsonValue* tschema =
-      find_typed(*tenants, "schema", JsonValue::Type::kString);
+  const JsonValue* tschema = tenants->get("schema", Type::kString);
   if (tschema == nullptr || tschema->str != "gnnvault.tenant_ledger.v1") {
     return report_error(error, "tenants.schema missing or unknown");
   }
-  const JsonValue* rows =
-      find_typed(*tenants, "tenants", JsonValue::Type::kArray);
+  const JsonValue* rows = tenants->get("tenants", Type::kArray);
   if (rows == nullptr) {
     return report_error(error, "tenants.tenants missing or not an array");
   }
-  const JsonValue* fleet =
-      find_typed(*tenants, "fleet", JsonValue::Type::kObject);
-  if (fleet == nullptr) {
+  if (tenants->get("fleet", Type::kObject) == nullptr) {
     return report_error(error, "tenants.fleet missing or not an object");
   }
   for (const JsonValue& row : rows->array) {
-    if (row.type != JsonValue::Type::kObject ||
-        find_typed(row, "tenant", JsonValue::Type::kString) == nullptr) {
+    if (row.get("tenant", Type::kString) == nullptr) {
       return report_error(error, "tenant row missing its name");
     }
     for (const char* key : {"modeled_seconds", "ecalls", "channel_bytes",
                             "epc_resident_bytes"}) {
-      if (find_typed(row, key, JsonValue::Type::kNumber) == nullptr) {
-        return report_error(error,
-                            std::string("tenant row missing ") + key);
+      if (row.get(key, Type::kNumber) == nullptr) {
+        return report_error(error, std::string("tenant row missing ") + key);
       }
     }
   }
-  const JsonValue* engines =
-      find_typed(root, "engines", JsonValue::Type::kArray);
+  const JsonValue* engines = root.get("engines", Type::kArray);
   if (engines == nullptr) {
     return report_error(error, "engines missing or not an array");
   }
   for (const JsonValue& engine : engines->array) {
-    if (engine.type != JsonValue::Type::kObject) {
+    if (engine.type != Type::kObject) {
       return report_error(error, "engine entry is not an object");
     }
     if (engine.object.empty()) continue;  // never-pulled placeholder
-    for (const char* key : {"engine"}) {
-      if (find_typed(engine, key, JsonValue::Type::kString) == nullptr) {
-        return report_error(error, std::string("engine entry missing ") + key);
-      }
+    if (engine.get("engine", Type::kString) == nullptr) {
+      return report_error(error, "engine entry missing engine");
     }
     for (const char* key : {"workers", "steal_hits", "steal_misses"}) {
-      if (find_typed(engine, key, JsonValue::Type::kNumber) == nullptr) {
+      if (engine.get(key, Type::kNumber) == nullptr) {
         return report_error(error, std::string("engine entry missing ") + key);
       }
     }

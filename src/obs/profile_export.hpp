@@ -23,9 +23,10 @@
 //                      touches only leaf telemetry locks so FlightRecorder
 //                      bundles can attach it from inside trip().
 //
-// validate_folded()/validate_ops_report() are independent of the writers
-// (flight-recorder idiom: a fresh mini-parser, so a writer bug cannot
-// validate its own output); CI re-checks both artifacts with stock Python.
+// validate_folded() checks the folded grammar line by line;
+// validate_ops_report() walks the strict reader's tree (common/json.hpp,
+// which also says why one shared reader is still an independent check).
+// CI re-checks both artifacts with stock Python.
 #pragma once
 
 #include <string>

@@ -1,34 +1,15 @@
 #include "obs/tenant_ledger.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <iomanip>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace gv {
 
 namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 void append_usage_fields(std::ostringstream& os, const TenantUsage& u) {
   os << std::setprecision(17);
@@ -183,9 +164,9 @@ std::string TenantLedger::render_json_locked(
   for (const auto& [tenant, usage] : rows) {
     if (!first) os << ",";
     first = false;
-    std::string esc;
-    append_escaped(esc, tenant);
-    os << "{\"tenant\":\"" << esc << "\",";
+    std::string name;
+    append_json_string(name, tenant);
+    os << "{\"tenant\":" << name << ",";
     append_usage_fields(os, usage);
     os << "}";
   }

@@ -1,15 +1,15 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <string_view>
+#include <utility>
 
 #include "common/env.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace gv {
 
@@ -142,32 +142,6 @@ const char* TraceRecorder::intern(const std::string& s) {
   return interned_.insert(s).first->c_str();
 }
 
-namespace {
-
-void append_json_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
-void append_double(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
-}
-
-}  // namespace
-
 std::string TraceRecorder::to_chrome_json() const {
   const auto events = snapshot();
   std::string out;
@@ -203,19 +177,19 @@ std::string TraceRecorder::to_chrome_json() const {
                     tid, ev.start_ns / 1e3, ev.dur_ns / 1e3);
     }
     out += head;
-    out += "\"cat\": \"";
-    append_json_escaped(out, ev.category);
-    out += "\", \"name\": \"";
-    append_json_escaped(out, ev.name);
-    out += "\", \"args\": {\"wall_ns\": ";
-    append_double(out, static_cast<double>(ev.dur_ns));
+    out += "\"cat\": ";
+    append_json_string(out, ev.category);
+    out += ", \"name\": ";
+    append_json_string(out, ev.name);
+    out += ", \"args\": {\"wall_ns\": ";
+    append_json_number(out, static_cast<double>(ev.dur_ns));
     out += ", \"modeled_sgx_s\": ";
-    append_double(out, ev.modeled_s);
+    append_json_number(out, ev.modeled_s);
     for (int i = 0; i < nargs; ++i) {
-      out += ", \"";
-      append_json_escaped(out, ev.args[i].key);
-      out += "\": ";
-      append_double(out, ev.args[i].value);
+      out += ", ";
+      append_json_string(out, ev.args[i].key);
+      out += ": ";
+      append_json_number(out, ev.args[i].value);
     }
     out += "}}";
     if (ev.async) {
@@ -225,11 +199,11 @@ std::string TraceRecorder::to_chrome_json() const {
                     tid, static_cast<unsigned long long>(async_id),
                     (ev.start_ns + ev.dur_ns) / 1e3);
       out += head;
-      out += "\"cat\": \"";
-      append_json_escaped(out, ev.category);
-      out += "\", \"name\": \"";
-      append_json_escaped(out, ev.name);
-      out += "\", \"args\": {}}";
+      out += "\"cat\": ";
+      append_json_string(out, ev.category);
+      out += ", \"name\": ";
+      append_json_string(out, ev.name);
+      out += ", \"args\": {}}";
       ++async_id;
     }
   }
@@ -244,224 +218,71 @@ void TraceRecorder::write_chrome_json(const std::string& path) const {
   GV_CHECK(f.good(), "failed writing trace output file: " + path);
 }
 
-// --- Trace JSON validation (parser + nesting check). -------------------------
-//
-// A deliberately small recursive-descent JSON reader: the golden-file test
-// and the CI nesting check need "does this parse, and do the slices nest",
-// not a general-purpose DOM.
+// --- Trace JSON validation (schema walk + nesting check). --------------------
 
 namespace {
-
-struct JsonCursor {
-  const char* p;
-  const char* end;
-  std::string err;
-
-  bool fail(const std::string& what) {
-    if (err.empty()) {
-      err = what + " at offset " +
-            std::to_string(static_cast<std::size_t>(p - start));
-    }
-    return false;
-  }
-  const char* start = nullptr;
-
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) ++p;
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (p < end && *p == c) {
-      ++p;
-      return true;
-    }
-    return fail(std::string("expected '") + c + "'");
-  }
-  bool peek(char c) {
-    skip_ws();
-    return p < end && *p == c;
-  }
-};
 
 struct SliceEvent {
   double tid = 0.0;
   double ts = 0.0;
   double dur = 0.0;
-  std::string name;
+  const std::string* name = nullptr;
 };
 
-struct TraceDoc {
-  std::vector<SliceEvent> slices;
-  bool saw_trace_events = false;
-};
-
-bool parse_value(JsonCursor& c, TraceDoc& doc, int depth, bool in_trace_events,
-                 SliceEvent* current);
-
-bool parse_string(JsonCursor& c, std::string* out) {
-  if (!c.consume('"')) return false;
-  std::string s;
-  while (c.p < c.end && *c.p != '"') {
-    if (*c.p == '\\') {
-      ++c.p;
-      if (c.p >= c.end) return c.fail("truncated escape");
-      switch (*c.p) {
-        case '"': s.push_back('"'); break;
-        case '\\': s.push_back('\\'); break;
-        case '/': s.push_back('/'); break;
-        case 'b': s.push_back('\b'); break;
-        case 'f': s.push_back('\f'); break;
-        case 'n': s.push_back('\n'); break;
-        case 'r': s.push_back('\r'); break;
-        case 't': s.push_back('\t'); break;
-        case 'u':
-          if (c.end - c.p < 5) return c.fail("truncated \\u escape");
-          c.p += 4;  // code point value is irrelevant for validation
-          s.push_back('?');
-          break;
-        default: return c.fail("bad escape");
-      }
-      ++c.p;
-    } else {
-      s.push_back(*c.p++);
-    }
-  }
-  if (c.p >= c.end) return c.fail("unterminated string");
-  ++c.p;  // closing quote
-  if (out != nullptr) *out = std::move(s);
-  return true;
-}
-
-bool parse_number(JsonCursor& c, double* out) {
-  c.skip_ws();
-  char* after = nullptr;
-  const double v = std::strtod(c.p, &after);
-  if (after == c.p) return c.fail("expected number");
-  c.p = after;
-  if (out != nullptr) *out = v;
-  return true;
-}
-
-bool parse_object(JsonCursor& c, TraceDoc& doc, int depth, bool in_trace_events) {
-  if (!c.consume('{')) return false;
-  SliceEvent ev;
-  std::string ph;
-  if (c.peek('}')) {
-    ++c.p;
-    return true;
-  }
-  for (;;) {
-    std::string key;
-    if (!parse_string(c, &key)) return false;
-    if (!c.consume(':')) return false;
-    c.skip_ws();
-    const bool top_level = depth == 0;
-    if (top_level && key == "traceEvents") {
-      doc.saw_trace_events = true;
-      if (!c.peek('[')) return c.fail("traceEvents must be an array");
-      if (!parse_value(c, doc, depth + 1, /*in_trace_events=*/true, nullptr)) {
-        return false;
-      }
-    } else if (in_trace_events && key == "ph") {
-      if (!parse_string(c, &ph)) return false;
-    } else if (in_trace_events && key == "name") {
-      if (!parse_string(c, &ev.name)) return false;
-    } else if (in_trace_events && key == "tid") {
-      if (!parse_number(c, &ev.tid)) return false;
-    } else if (in_trace_events && key == "ts") {
-      if (!parse_number(c, &ev.ts)) return false;
-    } else if (in_trace_events && key == "dur") {
-      if (!parse_number(c, &ev.dur)) return false;
-    } else {
-      if (!parse_value(c, doc, depth + 1, /*in_trace_events=*/false, nullptr)) {
-        return false;
-      }
-    }
-    if (c.peek(',')) {
-      ++c.p;
-      continue;
-    }
-    break;
-  }
-  if (!c.consume('}')) return false;
-  if (in_trace_events && ph == "X") doc.slices.push_back(std::move(ev));
-  return true;
-}
-
-bool parse_value(JsonCursor& c, TraceDoc& doc, int depth, bool in_trace_events,
-                 SliceEvent*) {
-  c.skip_ws();
-  if (c.p >= c.end) return c.fail("unexpected end of input");
-  switch (*c.p) {
-    case '{':
-      return parse_object(c, doc, depth, in_trace_events);
-    case '[': {
-      ++c.p;
-      if (c.peek(']')) {
-        ++c.p;
-        return true;
-      }
-      for (;;) {
-        if (!parse_value(c, doc, depth + 1, in_trace_events, nullptr)) {
-          return false;
-        }
-        if (c.peek(',')) {
-          ++c.p;
-          continue;
-        }
-        break;
-      }
-      return c.consume(']');
-    }
-    case '"':
-      return parse_string(c, nullptr);
-    case 't':
-      if (c.end - c.p >= 4 && std::string_view(c.p, 4) == "true") {
-        c.p += 4;
-        return true;
-      }
-      return c.fail("bad literal");
-    case 'f':
-      if (c.end - c.p >= 5 && std::string_view(c.p, 5) == "false") {
-        c.p += 5;
-        return true;
-      }
-      return c.fail("bad literal");
-    case 'n':
-      if (c.end - c.p >= 4 && std::string_view(c.p, 4) == "null") {
-        c.p += 4;
-        return true;
-      }
-      return c.fail("bad literal");
-    default:
-      return parse_number(c, nullptr);
-  }
+bool trace_error(std::string* error, const std::string& why) {
+  if (error != nullptr) *error = why;
+  return false;
 }
 
 }  // namespace
 
 bool validate_trace_json(const std::string& json, std::string* error) {
-  JsonCursor c{json.data(), json.data() + json.size(), {}};
-  c.start = json.data();
-  TraceDoc doc;
-  if (!parse_value(c, doc, 0, false, nullptr)) {
-    if (error != nullptr) *error = "JSON parse error: " + c.err;
-    return false;
+  JsonValue root;
+  std::string why;
+  if (!parse_json(json, &root, &why)) {
+    return trace_error(error, "JSON parse error: " + why);
   }
-  c.skip_ws();
-  if (c.p != c.end) {
-    if (error != nullptr) *error = "trailing garbage after JSON document";
-    return false;
+  const JsonValue* events =
+      root.get("traceEvents", JsonValue::Type::kArray);
+  if (events == nullptr) return trace_error(error, "no traceEvents array");
+
+  // Every event's ph/name must be strings and its tid/ts/dur numbers when
+  // present; complete ("X") slices take part in the nesting check.
+  static const std::string kUnnamed;
+  std::vector<SliceEvent> slices;
+  for (const JsonValue& ev : events->array) {
+    if (ev.type != JsonValue::Type::kObject) continue;
+    for (const char* key : {"ph", "name"}) {
+      const JsonValue* v = ev.find(key);
+      if (v != nullptr && v->type != JsonValue::Type::kString) {
+        return trace_error(error, std::string("event ") + key +
+                                      " is not a string");
+      }
+    }
+    SliceEvent slice;
+    for (const auto& [key, field] :
+         {std::pair{"tid", &slice.tid}, std::pair{"ts", &slice.ts},
+          std::pair{"dur", &slice.dur}}) {
+      const JsonValue* v = ev.find(key);
+      if (v == nullptr) continue;
+      if (v->type != JsonValue::Type::kNumber) {
+        return trace_error(error, std::string("event ") + key +
+                                      " is not a number");
+      }
+      *field = v->number;
+    }
+    const JsonValue* ph = ev.get("ph", JsonValue::Type::kString);
+    if (ph == nullptr || ph->str != "X") continue;
+    const JsonValue* name = ev.get("name", JsonValue::Type::kString);
+    slice.name = name != nullptr ? &name->str : &kUnnamed;
+    slices.push_back(slice);
   }
-  if (!doc.saw_trace_events) {
-    if (error != nullptr) *error = "no traceEvents array";
-    return false;
-  }
+
   // Per-thread nesting: sorted by (ts asc, dur desc), every slice must lie
   // entirely inside the enclosing open slice or after it — a partial
   // overlap means a span outlived its parent, which RAII emission forbids.
   std::map<double, std::vector<const SliceEvent*>> by_tid;
-  for (const auto& ev : doc.slices) by_tid[ev.tid].push_back(&ev);
+  for (const auto& ev : slices) by_tid[ev.tid].push_back(&ev);
   for (auto& [tid, evs] : by_tid) {
     std::sort(evs.begin(), evs.end(),
               [](const SliceEvent* a, const SliceEvent* b) {
@@ -475,12 +296,10 @@ bool validate_trace_json(const std::string& json, std::string* error) {
       }
       if (!stack.empty() &&
           ev->ts + ev->dur > stack.back()->ts + stack.back()->dur + 1e-6) {
-        if (error != nullptr) {
-          *error = "slice '" + ev->name + "' (tid " + std::to_string(tid) +
-                   ") partially overlaps enclosing slice '" +
-                   stack.back()->name + "'";
-        }
-        return false;
+        return trace_error(error, "slice '" + *ev->name + "' (tid " +
+                                      std::to_string(tid) +
+                                      ") partially overlaps enclosing slice '" +
+                                      *stack.back()->name + "'");
       }
       stack.push_back(ev);
     }

@@ -227,11 +227,11 @@ class TraceSpan {
   TraceEvent ev_{};
 };
 
-/// Validate that `json` parses as a Chrome trace document and that, per
-/// thread, every pair of slices either nests or is disjoint (well-nested
-/// timestamps — the invariant RAII emission guarantees and exporters rely
-/// on).  Returns true on success; on failure fills `error` (when non-null)
-/// with a human-readable reason.
+/// Validate that `json` parses (strict JSON, common/json.hpp) as a Chrome
+/// trace document and that, per thread, every pair of slices either nests
+/// or is disjoint (well-nested timestamps — the invariant RAII emission
+/// guarantees and exporters rely on).  Returns true on success; on failure
+/// fills `error` (when non-null) with a human-readable reason.
 bool validate_trace_json(const std::string& json, std::string* error = nullptr);
 
 }  // namespace gv

@@ -13,10 +13,22 @@ MicroBatchQueue::MicroBatchQueue(std::size_t max_batch,
   index_.reserve(64);
 }
 
+void MicroBatchQueue::Batch::size_for(std::size_t max_batch) {
+  if (entries.size() >= max_batch) return;
+  entries.reserve(max_batch);
+  while (entries.size() < max_batch) {
+    entries.emplace_back();
+    entries.back().waiters.reserve(1);
+  }
+}
+
 std::uint32_t MicroBatchQueue::acquire_slot_locked() {
   if (free_head_ == kNone) {
-    // Warm-up growth; recycled slots keep the slab stable afterwards.
+    // Warm-up growth; recycled slots keep the slab stable afterwards.  The
+    // new slot's waiter vector gets room for one waiter, like every batch
+    // entry it will swap with.
     slots_.emplace_back();
+    slots_.back().entry.waiters.reserve(1);
     return static_cast<std::uint32_t>(slots_.size() - 1);
   }
   const std::uint32_t idx = free_head_;
@@ -108,7 +120,7 @@ std::size_t MicroBatchQueue::submit_many(
 
 bool MicroBatchQueue::next_batch(Batch* out) {
   out->count = 0;
-  if (out->entries.size() < max_batch_) out->entries.resize(max_batch_);
+  out->size_for(max_batch_);
   MutexLock lock(mu_);
   GV_RANK_SCOPE(lockrank::kQueue);
   for (;;) {

@@ -57,6 +57,13 @@ class MicroBatchQueue {
   /// the embedded arena scratches the flush path (reset per flush, blocks
   /// retained).
   struct Batch {
+    /// Grow to `max_batch` entries, each with room for one waiter.  Waiter
+    /// vectors circulate between slots and entries by swap (next_batch),
+    /// so one entering with zero capacity would make a later submit
+    /// allocate; sizing at creation keeps a batch first used after
+    /// warm-up heap-free.
+    void size_for(std::size_t max_batch);
+
     std::vector<Entry> entries;  // [0, count) valid
     std::size_t count = 0;
     Arena arena;
@@ -85,7 +92,7 @@ class MicroBatchQueue {
                           std::span<TokenState* const> waiters);
 
   /// Block until a batch is ready and pop it into `out` (at most max_batch
-  /// entries; out->entries is resized on first use and recycled after).
+  /// entries; `out` is sized on first use and recycled after).
   /// Returns false only when the queue is stopped — the dispatcher's exit
   /// condition.
   bool next_batch(Batch* out);

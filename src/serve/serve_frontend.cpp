@@ -25,6 +25,15 @@ ServeFrontEnd::ServeFrontEnd(ServeBackend& backend, const ServerConfig& cfg,
   probe_ =
       std::make_unique<EngineProbe>(MetricsRegistry::global(), cfg_.tenant);
   probe_->attach(&jobs_, &tokens_, &queue_);
+  // The batches a closed-loop caller can hold at once: one per worker, one
+  // posted and one filling in the dispatcher.  Creating them here keeps the
+  // pool from growing (and allocating) once serving starts.
+  for (std::size_t i = 0; i < jobs_.num_workers() + 2; ++i) {
+    Batch* b = new_batch();
+    MutexLock lock(pool_mu_);
+    GV_RANK_SCOPE(lockrank::kJobQueue);
+    free_batches_.push_back(b);
+  }
   tokens_.set_observer(
       probe_.get(),
       [](void* ctx, std::size_t capacity, std::size_t free_count,
@@ -147,6 +156,23 @@ void ServeFrontEnd::flush() { queue_.flush(); }
 
 std::size_t ServeFrontEnd::pending() const { return queue_.pending(); }
 
+ServeFrontEnd::Batch* ServeFrontEnd::new_batch() {
+  auto owned = std::make_unique<Batch>();
+  const std::size_t max_batch = queue_.max_batch();
+  owned->size_for(max_batch);
+  // One flush's scratch (execute_batch): node ids, labels, digests, plus
+  // alignment slack.
+  owned->arena.reserve(
+      max_batch * (2 * sizeof(std::uint32_t) + sizeof(Sha256Digest)) + 64);
+  publish_arena(*owned);
+  Batch* b = owned.get();
+  MutexLock lock(pool_mu_);
+  GV_RANK_SCOPE(lockrank::kJobQueue);
+  all_batches_.push_back(std::move(owned));
+  free_batches_.reserve(all_batches_.size());
+  return b;
+}
+
 ServeFrontEnd::Batch* ServeFrontEnd::acquire_batch() {
   {
     MutexLock lock(pool_mu_);
@@ -157,36 +183,35 @@ ServeFrontEnd::Batch* ServeFrontEnd::acquire_batch() {
       return b;
     }
   }
-  // Warm-up: the pool grows to (dispatched-ahead depth) batches and then
-  // cycles forever.
-  auto owned = std::make_unique<Batch>();
-  Batch* b = owned.get();
-  MutexLock lock(pool_mu_);
-  GV_RANK_SCOPE(lockrank::kJobQueue);
-  all_batches_.push_back(std::move(owned));
-  return b;
+  // More batches in flight than the constructor provisioned: the pool
+  // grows to the dispatched-ahead depth and then cycles forever.
+  return new_batch();
+}
+
+void ServeFrontEnd::publish_arena(Batch& b) {
+  // Gauge deltas (the gauges aggregate the whole pool).  Steady state:
+  // three reads + three compares, no probe call, no heap — the warm-path
+  // zero-alloc gate stays intact.
+  const std::size_t reserved = b.arena.bytes_reserved();
+  const std::size_t blocks = b.arena.num_blocks();
+  const std::size_t high_water = b.arena.bytes_high_water();
+  if (reserved != b.published_reserved || blocks != b.published_blocks ||
+      high_water != b.published_high_water) {
+    probe_->add_arena_delta(
+        static_cast<double>(reserved) -
+            static_cast<double>(b.published_reserved),
+        static_cast<double>(blocks) - static_cast<double>(b.published_blocks),
+        static_cast<double>(high_water) -
+            static_cast<double>(b.published_high_water));
+    b.published_reserved = reserved;
+    b.published_blocks = blocks;
+    b.published_high_water = high_water;
+  }
 }
 
 void ServeFrontEnd::release_batch(Batch* b) {
   b->count = 0;
-  // Publish this batch's arena growth as gauge deltas (the gauges aggregate
-  // the whole pool).  Steady state: three reads + three compares, no probe
-  // call, no heap — the warm-path zero-alloc gate stays intact.
-  const std::size_t reserved = b->arena.bytes_reserved();
-  const std::size_t blocks = b->arena.num_blocks();
-  const std::size_t high_water = b->arena.bytes_high_water();
-  if (reserved != b->published_reserved || blocks != b->published_blocks ||
-      high_water != b->published_high_water) {
-    probe_->add_arena_delta(
-        static_cast<double>(reserved) -
-            static_cast<double>(b->published_reserved),
-        static_cast<double>(blocks) - static_cast<double>(b->published_blocks),
-        static_cast<double>(high_water) -
-            static_cast<double>(b->published_high_water));
-    b->published_reserved = reserved;
-    b->published_blocks = blocks;
-    b->published_high_water = high_water;
-  }
+  publish_arena(*b);
   MutexLock lock(pool_mu_);
   GV_RANK_SCOPE(lockrank::kJobQueue);
   free_batches_.push_back(b);

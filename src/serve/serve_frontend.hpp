@@ -170,8 +170,13 @@ class ServeFrontEnd {
   /// Fail every waiter of an undispatched batch with the shutdown error.
   void fail_batch_shutdown(Batch& b);
 
+  /// A pooled batch sized for max_batch (entries, waiter capacity, flush
+  /// scratch) and registered in all_batches_.
+  Batch* new_batch();
   Batch* acquire_batch();
   void release_batch(Batch* b);
+  /// Push the batch's arena growth since its last publish to the probe.
+  void publish_arena(Batch& b);
 
   ServeBackend& backend_;
   ServerConfig cfg_;
@@ -190,6 +195,8 @@ class ServeFrontEnd {
 
   /// Pooled batches cycling between the dispatcher and flush jobs; their
   /// entry/waiter capacities and arena blocks are retained across reuse.
+  /// free_batches_ keeps capacity for every pooled batch, so releasing one
+  /// never allocates.
   mutable Mutex pool_mu_ GV_LOCK_RANK(gv::lockrank::kJobQueue){
       gv::lockrank::kJobQueue};
   std::vector<std::unique_ptr<Batch>> all_batches_ GV_GUARDED_BY(pool_mu_);

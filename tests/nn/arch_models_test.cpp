@@ -6,6 +6,7 @@
 
 #include <cstring>
 
+#include "common/error.hpp"
 #include "data/synthetic.hpp"
 #include "nn/trainer.hpp"
 #include "tensor/ops.hpp"
@@ -125,6 +126,39 @@ TEST(SageModel, SelfAndNeighborWeightsAreSeparate) {
   ParamRefs refs;
   m.collect_parameters(refs);
   EXPECT_EQ(refs.matrices.size(), 2u);  // W_self and W_neigh for one layer
+}
+
+TEST(SageLayer, BackwardWithoutTrainingForwardThrows) {
+  const Problem p = make_problem(18);
+  const auto prop = make_sage_propagation(p.graph);
+  Rng rng(19);
+  SageLayer layer(5, 3, rng);
+  Matrix dy(10, 3, 1.0f);
+  EXPECT_THROW(layer.backward(prop, dy), Error);
+  // forward(train), then forward(eval): the eval forward released the
+  // training cache.
+  const Matrix x = p.features.to_dense();
+  layer.forward(prop, x, /*training=*/true);
+  layer.forward(prop, x, /*training=*/false);
+  EXPECT_THROW(layer.backward(prop, dy), Error);
+  layer.forward(prop, p.features, /*training=*/true);
+  layer.forward(prop, p.features, /*training=*/false);
+  EXPECT_THROW(layer.backward_sparse_input(prop, dy), Error);
+}
+
+TEST(GatLayer, BackwardWithoutTrainingForwardThrows) {
+  const Problem p = make_problem(20);
+  const auto adj = p.graph.adjacency_csr(true);
+  Rng rng(21);
+  GatLayer layer(5, 3, rng);
+  Matrix dy(10, 3, 1.0f);
+  EXPECT_THROW(layer.backward(adj, dy), Error);
+  // forward(train), then forward(eval): the eval forward released the
+  // cached input, projections and attention weights.
+  const Matrix x = p.features.to_dense();
+  layer.forward(adj, x, /*training=*/true);
+  layer.forward(adj, x, /*training=*/false);
+  EXPECT_THROW(layer.backward(adj, dy), Error);
 }
 
 TEST(GatLayer, AttentionRowsSumToOneEffect) {

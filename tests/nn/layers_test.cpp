@@ -73,6 +73,16 @@ TEST(GcnLayer, BackwardWithoutTrainingForwardThrows) {
   const auto adj = identity_adj(4);
   Matrix dy(4, 2, 1.0f);
   EXPECT_THROW(layer.backward(adj, dy), Error);
+  // An inference forward after a training forward releases the training
+  // cache, so a backward cannot silently use the stale training input.
+  const Matrix x(4, 3, 1.0f);
+  layer.forward(adj, x, /*training=*/true);
+  layer.forward(adj, x, /*training=*/false);
+  EXPECT_THROW(layer.backward(adj, dy), Error);
+  const auto xs = CsrMatrix::from_coo(4, 3, {{0, 0, 1.0f}, {2, 1, 2.0f}});
+  layer.forward(adj, xs, /*training=*/true);
+  layer.forward(adj, xs, /*training=*/false);
+  EXPECT_THROW(layer.backward_sparse_input(adj, dy), Error);
 }
 
 TEST(GcnLayer, ParameterCountIncludesBias) {
@@ -167,6 +177,23 @@ TEST(DenseLayer, BackwardComputesInputGradient) {
   // dx = dy W'; with dy selecting first output column, dx = W[:,0]'.
   EXPECT_NEAR(dx(0, 0), layer.weight().value(0, 0), 1e-6);
   EXPECT_NEAR(dx(0, 1), layer.weight().value(1, 0), 1e-6);
+}
+
+TEST(DenseLayer, BackwardWithoutTrainingForwardThrows) {
+  Rng rng(13);
+  DenseLayer layer(3, 2, rng);
+  Matrix dy(4, 2, 1.0f);
+  EXPECT_THROW(layer.backward(dy), Error);
+  // forward(train), then forward(eval): the eval forward released the
+  // training cache.
+  const Matrix x(4, 3, 1.0f);
+  layer.forward(x, /*training=*/true);
+  layer.forward(x, /*training=*/false);
+  EXPECT_THROW(layer.backward(dy), Error);
+  const auto xs = CsrMatrix::from_coo(4, 3, {{0, 0, 1.0f}, {3, 2, -1.0f}});
+  layer.forward(xs, /*training=*/true);
+  layer.forward(xs, /*training=*/false);
+  EXPECT_THROW(layer.backward_sparse_input(dy), Error);
 }
 
 TEST(DenseLayer, SparseBackwardAfterDenseForwardThrows) {

@@ -10,7 +10,6 @@
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 
 namespace gv {
@@ -38,7 +37,6 @@ class FlightRecorderTest : public ::testing::Test {
   }
   void TearDown() override {
     FlightRecorder::instance().disarm();
-    FlightRecorder::instance().attach_timeseries(nullptr);
     fs::remove_all(dir_);
   }
   fs::path dir_;
@@ -68,30 +66,21 @@ TEST_F(FlightRecorderTest, ArmedTripDumpsAValidBundle) {
   EXPECT_NE(json.find("test fault"), std::string::npos);
 }
 
-TEST_F(FlightRecorderTest, BundleEmbedsSpansTimeseriesAndTopology) {
+TEST_F(FlightRecorderTest, BundleEmbedsSpansAndTopology) {
   auto& rec = TraceRecorder::instance();
   rec.clear();
   rec.set_enabled(true);
   { TraceSpan span("test", "bundled_span"); }
   rec.set_enabled(false);
 
-  MetricsRegistry reg;
-  reg.counter("req").add(5);
-  TimeSeriesRing ring(reg, {1.0, 4});
-  ring.sample(0.0);
-  reg.counter("req").add(2);
-  ring.sample(1.0);
-
   auto& fr = FlightRecorder::instance();
   fr.configure(dir_.string(), 64);
-  fr.attach_timeseries(&ring);
   const int owner = 0;
   fr.set_topology_provider(&owner, [] {
     return std::string("{\"num_shards\":3,\"shards\":[]}");
   });
   const std::string path = fr.trip(FaultKind::kChannelAnomaly, -1, "audit");
   fr.clear_topology_provider(&owner);
-  fr.attach_timeseries(nullptr);
 
   ASSERT_FALSE(path.empty());
   const std::string json = slurp(path);
@@ -99,7 +88,7 @@ TEST_F(FlightRecorderTest, BundleEmbedsSpansTimeseriesAndTopology) {
   ASSERT_TRUE(validate_flight_bundle(json, &err)) << err;
   EXPECT_NE(json.find("bundled_span"), std::string::npos);
   EXPECT_NE(json.find("\"num_shards\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"interval_seconds\""), std::string::npos);
+  EXPECT_EQ(json.find("\"timeseries\""), std::string::npos);
   rec.clear();
 }
 
@@ -140,33 +129,44 @@ TEST(FlightBundleValidator, RejectsMalformedDocuments) {
       R"({"schema":"something.else","seq":1,"wall_ns":2,)"
       R"("fault":{"kind":"manual","shard":-1,"detail":""},"spans":[],)"
       R"("metrics":{"counters":[],"gauges":[],"histograms":[]},)"
-      R"("timeseries":null,"topology":null})",
+      R"("topology":null})",
       &err));
-  // Unknown fault kind.
-  EXPECT_FALSE(validate_flight_bundle(
-      R"({"schema":"gnnvault.flight_recorder.v1","seq":1,"wall_ns":2,)"
-      R"("fault":{"kind":"gremlins","shard":-1,"detail":""},"spans":[],)"
-      R"("metrics":{"counters":[],"gauges":[],"histograms":[]},)"
-      R"("timeseries":null,"topology":null})",
-      &err));
-  // Trailing garbage after a valid document.
+  // The v1 tag, whose bundles carried a timeseries section.
   EXPECT_FALSE(validate_flight_bundle(
       R"({"schema":"gnnvault.flight_recorder.v1","seq":1,"wall_ns":2,)"
       R"("fault":{"kind":"manual","shard":-1,"detail":""},"spans":[],)"
       R"("metrics":{"counters":[],"gauges":[],"histograms":[]},)"
-      R"("timeseries":null,"topology":null} trailing)",
+      R"("timeseries":null,"topology":null})",
+      &err));
+  // Unknown fault kinds, the retired slo_page among them.
+  for (const char* kind : {"gremlins", "slo_page"}) {
+    EXPECT_FALSE(validate_flight_bundle(
+        std::string(R"({"schema":"gnnvault.flight_recorder.v2","seq":1,)") +
+            R"("wall_ns":2,"fault":{"kind":")" + kind +
+            R"(","shard":-1,"detail":""},"spans":[],)"
+            R"("metrics":{"counters":[],"gauges":[],"histograms":[]},)"
+            R"("topology":null})",
+        &err))
+        << kind;
+  }
+  // Trailing garbage after a valid document.
+  EXPECT_FALSE(validate_flight_bundle(
+      R"({"schema":"gnnvault.flight_recorder.v2","seq":1,"wall_ns":2,)"
+      R"("fault":{"kind":"manual","shard":-1,"detail":""},"spans":[],)"
+      R"("metrics":{"counters":[],"gauges":[],"histograms":[]},)"
+      R"("topology":null} trailing)",
       &err));
 }
 
 TEST(FlightBundleValidator, AcceptsAMinimalHandWrittenBundle) {
   std::string err;
   EXPECT_TRUE(validate_flight_bundle(
-      R"({"schema":"gnnvault.flight_recorder.v1","seq":7,"wall_ns":123,)"
-      R"("fault":{"kind":"slo_page","shard":-1,"detail":"burn"},)"
+      R"({"schema":"gnnvault.flight_recorder.v2","seq":7,"wall_ns":123,)"
+      R"("fault":{"kind":"manual","shard":-1,"detail":"operator"},)"
       R"("spans":[{"cat":"serve","name":"batch_flush","ts_ns":1,"dur_ns":2,)"
       R"("modeled_sgx_s":0.5,"args":{"query_id":9}}],)"
       R"("metrics":{"counters":[],"gauges":[],"histograms":[]},)"
-      R"("timeseries":null,"topology":{"num_shards":2}})",
+      R"("topology":{"num_shards":2}})",
       &err))
       << err;
 }

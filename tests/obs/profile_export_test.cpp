@@ -1,16 +1,21 @@
 // EngineScope profile export: folded-stack reconstruction from interval
-// nesting, the independent grammar validator, and the unified ops report.
+// nesting, the independent grammar validator, and the unified ops report;
+// plus the string-escape and strictness cases shared by all three JSON
+// validators.
 #include "obs/profile_export.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/engine_probe.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tenant_ledger.hpp"
 #include "obs/trace.hpp"
@@ -152,26 +157,54 @@ TEST(OpsReport, ValidatorIsIndependentOfTheWriter) {
   EXPECT_FALSE(validate_ops_report(wrong, &err));
 }
 
-TEST(OpsReport, ValidatorDecodesStringEscapes) {
-  // Regression: the independent reader used to push the escape LETTER
-  // ("\n" decoded to 'n') and drop \u payloads entirely, so an escaped
-  // string compared wrong against schema/name checks.  The schema tag
-  // spelled with escapes must still validate...
-  std::string doc = ops_report();
-  const std::string plain = "\"gnnvault.ops_report.v1\"";
-  const auto pos = doc.find(plain);
-  ASSERT_NE(pos, std::string::npos);
-  std::string escaped = "\"\\u0067nnvault.ops_report.v1\"";  // \u0067 == 'g'
-  doc.replace(pos, plain.size(), escaped);
-  std::string err;
-  EXPECT_TRUE(validate_ops_report(doc, &err)) << err;
-  // ...an invalid escape must not...
-  std::string bad = doc;
-  bad.replace(bad.find(escaped), escaped.size(),
-              "\"\\qnnvault.ops_report.v1\"");
-  EXPECT_FALSE(validate_ops_report(bad, &err));
-  // ...and a tenant name exercising every escape class (quote, backslash,
-  // newline, control char) survives writer-escape + reader-decode intact.
+// --- The three JSON validators on string escapes and strictness. -----------
+//
+// One parametrized test over validate_trace_json, validate_flight_bundle
+// and validate_ops_report.  Each case builds a valid document whose names
+// carry control characters (so the writer must escape them), then checks
+// that escapes decode to what they spell and that non-JSON input fails.
+
+struct ValidatorCase {
+  const char* name;
+  bool (*validate)(const std::string&, std::string*);
+  /// A valid document from the live writer, with control characters in
+  /// the strings it escapes.
+  std::string (*make_doc)();
+  /// A string the validator compares by value (schema tag, key or kind);
+  /// it contains an 'n'.
+  const char* tag;
+};
+
+std::string trace_doc() {
+  auto& rec = TraceRecorder::instance();
+  rec.clear();
+  rec.set_enabled(true);
+  { TraceSpan span("esc\x01" "cat", "span\tname\n"); }
+  rec.set_enabled(false);
+  std::string doc = rec.to_chrome_json();
+  rec.clear();
+  return doc;
+}
+
+std::string flight_doc() {
+  const std::string dir = ::testing::TempDir() + "/gv_validator_escapes";
+  auto& fr = FlightRecorder::instance();
+  fr.configure(dir, 16);
+  const std::string path =
+      fr.trip(FaultKind::kManual, -1, "detail\twith\ncontrol\x01");
+  fr.disarm();
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  std::filesystem::remove_all(dir);
+  return ss.str();
+}
+
+std::string ops_doc() {
+  // Every escape class in a tenant row and in an engine name.  The probe's
+  // gauges carry the engine name as their `engine` label, so the metrics
+  // section must escape it too.
+  EngineProbe probe(MetricsRegistry::global(), "team\tA\n\x01");
   auto& ledger = TenantLedger::global();
   int owner = 0;
   ledger.register_provider(&owner, "quo\"te\\back\nline\x01ctl", [] {
@@ -179,10 +212,78 @@ TEST(OpsReport, ValidatorDecodesStringEscapes) {
     u.ecalls = 1;
     return u;
   });
-  const std::string report = ops_report();
-  EXPECT_TRUE(validate_ops_report(report, &err)) << err;
+  std::string doc = ops_report();
   ledger.unregister(&owner);
+  return doc;
 }
+
+void PrintTo(const ValidatorCase& c, std::ostream* os) { *os << c.name; }
+
+class ValidatorDecodesStringEscapes
+    : public ::testing::TestWithParam<ValidatorCase> {};
+
+TEST_P(ValidatorDecodesStringEscapes, EveryEntryPoint) {
+  const ValidatorCase& c = GetParam();
+  std::string doc = c.make_doc();
+  std::string err;
+  ASSERT_TRUE(c.validate(doc, &err)) << err;
+  // The writer escaped every control character: none is left raw (the
+  // flight bundle's trailing newline is whitespace outside any string).
+  while (!doc.empty() && doc.back() == '\n') doc.pop_back();
+  for (std::size_t i = 0; i < doc.size(); ++i) {
+    ASSERT_GE(static_cast<unsigned char>(doc[i]), 0x20u)
+        << "raw control byte at " << i << " of " << doc;
+  }
+
+  const std::string quoted = std::string("\"") + c.tag + "\"";
+  const auto pos = doc.find(quoted);
+  ASSERT_NE(pos, std::string::npos) << c.tag;
+  const auto with_tag = [&](const std::string& spelled) {
+    std::string out = doc;
+    out.replace(pos, quoted.size(), spelled);
+    return out;
+  };
+  // The tag spelled with a \u escape still validates...
+  char u_escape[8];
+  std::snprintf(u_escape, sizeof(u_escape), "\\u%04x",
+                static_cast<unsigned>(c.tag[0]));
+  EXPECT_TRUE(c.validate(
+      with_tag(std::string("\"") + u_escape + (c.tag + 1) + "\""), &err))
+      << err;
+  // ...but \n is a newline, not the letter n ("ma\nual" is not "manual").
+  std::string newline_tag = c.tag;
+  newline_tag.replace(newline_tag.find('n'), 1, "\\n");
+  EXPECT_FALSE(c.validate(with_tag("\"" + newline_tag + "\""), &err));
+
+  // Non-JSON members the strict reader rejects wherever they appear.
+  const auto with_member = [&](const std::string& member) {
+    return "{" + member + ", " + doc.substr(1);
+  };
+  for (const char* member :
+       {R"("x": "\uZZZZ")", R"("x": "\qq")", R"("x": "\uD800")",
+        R"("x": nan)", R"("x": NaN)", R"("x": Infinity)", R"("x": +1)",
+        R"("x": 01)", R"("x": 0x10)"}) {
+    EXPECT_FALSE(c.validate(with_member(member), &err)) << member;
+  }
+  EXPECT_FALSE(c.validate(with_member(std::string("\"x\": \"a\tb\"")), &err));
+  // Deep nesting is an error, not a crash.
+  EXPECT_FALSE(c.validate(with_member("\"x\": " + std::string(1000000, '[') +
+                                      std::string(1000000, ']')),
+                          &err));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Obs, ValidatorDecodesStringEscapes,
+    ::testing::Values(
+        ValidatorCase{"trace", &validate_trace_json, &trace_doc,
+                      "traceEvents"},
+        ValidatorCase{"flight_bundle", &validate_flight_bundle, &flight_doc,
+                      "manual"},
+        ValidatorCase{"ops_report", &validate_ops_report, &ops_doc,
+                      "gnnvault.ops_report.v1"}),
+    [](const ::testing::TestParamInfo<ValidatorCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(OpsReport, FilesRoundTripThroughDisk) {
   const std::string dir = ::testing::TempDir();

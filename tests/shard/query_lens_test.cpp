@@ -19,7 +19,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/query_trace.hpp"
-#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "shard/sharded_server.hpp"
 #include "../serve/serve_test_util.hpp"
@@ -157,9 +156,6 @@ TEST(QueryLens, KilledShardLeavesAValidatedBundleAfterTeardown) {
   TrainedVault tv = quick_vault(ds);
   const ShardPlan plan = ShardPlanner::plan(ds, tv, 3);
 
-  TimeSeriesRing ring(MetricsRegistry::global(), {0.001, 16});
-  fr.attach_timeseries(&ring);
-
   std::string bundle_path;
   {
     ShardedServerConfig cfg;
@@ -169,11 +165,9 @@ TEST(QueryLens, KilledShardLeavesAValidatedBundleAfterTeardown) {
     cfg.replicate = true;
     ShardedVaultServer server(ds, std::move(tv), plan, {}, cfg);
 
-    ring.sample(0.0);
     const std::uint32_t victim = server.deployment().owner(5);
     server.kill_shard(victim);  // trips kDeadShard with the fleet mid-fault
     EXPECT_EQ(server.query(5), server.query(5));  // promoted shard serves
-    ring.sample(0.002);
 
     // The newest bundle is the kill's.
     for (const auto& e : fs::directory_iterator(dir)) {
@@ -185,7 +179,6 @@ TEST(QueryLens, KilledShardLeavesAValidatedBundleAfterTeardown) {
     EXPECT_NE(bundle_path.find("dead_shard"), std::string::npos);
   }  // fleet torn down — the bundle must outlive it
 
-  fr.attach_timeseries(nullptr);
   fr.disarm();
 
   std::ifstream in(bundle_path, std::ios::binary);
