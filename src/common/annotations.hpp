@@ -111,11 +111,11 @@ inline constexpr int kChannel = 70;        // AttestedChannel / OneWayChannel /
 inline constexpr int kQueue = 80;          // MicroBatchQueue::mu_, LabelCache
                                            // (serving-path leaves)
 inline constexpr int kJobQueue = 82;       // JobSystem per-worker deques + idle
-                                           // signal; ServeFrontEnd batch pool
-                                           // (posted to while kQueue-held code
-                                           // has already released, but ABOVE
-                                           // kQueue so a post under a serving
-                                           // leaf would still be legal)
+                                           // signal (posted to while
+                                           // kQueue-held code has already
+                                           // released, but ABOVE kQueue so a
+                                           // post under a serving leaf would
+                                           // still be legal)
 inline constexpr int kTokenState = 84;     // SubmitToken shared state + pool
                                            // (resolved from job workers after
                                            // every other serving lock is

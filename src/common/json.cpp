@@ -7,9 +7,64 @@
 
 namespace gv {
 
+namespace {
+
+/// Length of the UTF-8 sequence starting at s[i] (s[i] >= 0x80) when it is
+/// well formed, i.e. the Unicode Table 3-7 forms: no stray continuation
+/// byte, no overlong form, no encoded surrogate, nothing above U+10FFFF,
+/// not truncated.  When it is ill formed, the length of its maximal
+/// subpart (at least 1) with `*valid` false, so a writer can replace it
+/// with one U+FFFD and resume right after.
+std::size_t scan_utf8(std::string_view s, std::size_t i, bool* valid) {
+  const auto b0 = static_cast<unsigned char>(s[i]);
+  std::size_t len = 0;
+  unsigned char lo = 0x80;  // allowed range of the second byte
+  unsigned char hi = 0xBF;
+  if (b0 >= 0xC2 && b0 <= 0xDF) {
+    len = 2;
+  } else if (b0 >= 0xE0 && b0 <= 0xEF) {
+    len = 3;
+    if (b0 == 0xE0) lo = 0xA0;  // overlong below U+0800
+    if (b0 == 0xED) hi = 0x9F;  // surrogates U+D800..U+DFFF
+  } else if (b0 >= 0xF0 && b0 <= 0xF4) {
+    len = 4;
+    if (b0 == 0xF0) lo = 0x90;  // overlong below U+10000
+    if (b0 == 0xF4) hi = 0x8F;  // above U+10FFFF
+  } else {
+    *valid = false;  // continuation byte, C0/C1 overlong lead, F5..FF
+    return 1;
+  }
+  for (std::size_t k = 1; k < len; ++k) {
+    const bool in_range =
+        i + k < s.size() &&
+        static_cast<unsigned char>(s[i + k]) >= (k == 1 ? lo : 0x80) &&
+        static_cast<unsigned char>(s[i + k]) <= (k == 1 ? hi : 0xBF);
+    if (!in_range) {
+      *valid = false;
+      return k;
+    }
+  }
+  *valid = true;
+  return len;
+}
+
+}  // namespace
+
 void append_json_string(std::string& out, std::string_view s) {
   out.push_back('"');
-  for (const char c : s) {
+  for (std::size_t i = 0; i < s.size();) {
+    const char c = s[i];
+    if (static_cast<unsigned char>(c) >= 0x80) {
+      bool valid = false;
+      const std::size_t len = scan_utf8(s, i, &valid);
+      if (valid) {
+        out.append(s.substr(i, len));
+      } else {
+        out += "\xEF\xBF\xBD";  // U+FFFD REPLACEMENT CHARACTER
+      }
+      i += len;
+      continue;
+    }
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -24,6 +79,7 @@ void append_json_string(std::string& out, std::string_view s) {
           out.push_back(c);
         }
     }
+    ++i;
   }
   out.push_back('"');
 }
@@ -269,6 +325,14 @@ class Reader {
       }
       if (static_cast<unsigned char>(c) < 0x20) {
         return fail("raw control character in string");
+      }
+      if (static_cast<unsigned char>(c) >= 0x80) {
+        bool valid = false;
+        const std::size_t len = scan_utf8(s_, pos_, &valid);
+        if (!valid) return fail("ill-formed UTF-8 in string");
+        out->append(s_.substr(pos_, len));
+        pos_ += len;
+        continue;
       }
       if (c != '\\') {
         out->push_back(c);

@@ -5,15 +5,16 @@
 //   Writers   append_json_string() and append_json_number() are the only
 //             string escaper and number formatter in src/.  A label, tenant
 //             or span name may carry any byte a caller hands in; the escaper
-//             makes every byte below 0x20 legal JSON.
+//             makes every byte below 0x20 legal JSON and every byte string
+//             valid UTF-8 (ill-formed sequences become U+FFFD).
 //
 //   Reader    parse_json() is a strict RFC 8259 reader that returns a small
 //             tree the validators (validate_trace_json,
 //             validate_flight_bundle, validate_ops_report) walk as a schema.
-//             It rejects raw control characters in strings, unknown
-//             escapes, non-hex or unpaired \u escapes, numbers outside the
-//             JSON grammar (+1, 01, .5, 0x10, inf, nan), trailing bytes and
-//             nesting deeper than kMaxJsonDepth.  Every rejection is an
+//             It rejects raw control characters and ill-formed UTF-8 in
+//             strings, unknown escapes, non-hex or unpaired \u escapes,
+//             numbers outside the JSON grammar (+1, 01, .5, 0x10, inf,
+//             nan), trailing bytes and nesting deeper than kMaxJsonDepth.  Every rejection is an
 //             error naming a byte offset, never a crash.  \uXXXX escapes,
 //             surrogate pairs included, decode to UTF-8.  A duplicated
 //             object key resolves to its last occurrence, as in Python's
@@ -45,7 +46,11 @@ inline constexpr int kMaxJsonDepth = 64;
 
 /// Append `s` as a quoted JSON string.  `"` and `\` are backslash-escaped,
 /// newline and tab use \n and \t, every other byte below 0x20 becomes
-/// \u00xx; all other bytes pass through unchanged.
+/// \u00xx, and other ASCII bytes and well-formed multi-byte UTF-8 pass
+/// through unchanged.  Each maximal ill-formed UTF-8 subsequence (a stray
+/// continuation byte, an overlong form, an encoded surrogate, a code point
+/// above U+10FFFF, a truncated sequence) becomes one U+FFFD, so the output
+/// is always valid UTF-8.
 void append_json_string(std::string& out, std::string_view s);
 
 /// Append `v` with nine significant digits (%.9g).  JSON has no NaN or

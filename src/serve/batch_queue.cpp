@@ -1,6 +1,7 @@
 #include "serve/batch_queue.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 #include "obs/query_trace.hpp"
@@ -8,10 +9,23 @@
 namespace gv {
 
 MicroBatchQueue::MicroBatchQueue(std::size_t max_batch,
-                                 std::chrono::microseconds max_wait)
-    : max_batch_(std::max<std::size_t>(1, max_batch)), max_wait_(max_wait) {
+                                 std::chrono::microseconds max_wait,
+                                 std::size_t drainers, PostDrainer post)
+    : max_batch_(std::max<std::size_t>(1, max_batch)),
+      max_wait_(max_wait),
+      post_(std::move(post)) {
+  GV_CHECK(static_cast<bool>(post_), "MicroBatchQueue needs a drainer poster");
   index_.reserve(64);
+  const std::size_t n = std::max<std::size_t>(1, drainers);
+  free_drainers_.reserve(n);
+  // Stacked so that drainer 0 is claimed first.
+  for (std::size_t d = n; d-- > 0;) {
+    free_drainers_.push_back(static_cast<std::uint32_t>(d));
+  }
+  if (max_wait_.count() > 0) timer_ = std::thread([this] { timer_loop(); });
 }
+
+MicroBatchQueue::~MicroBatchQueue() { stop(); }
 
 void MicroBatchQueue::Batch::size_for(std::size_t max_batch) {
   if (entries.size() >= max_batch) return;
@@ -84,16 +98,45 @@ bool MicroBatchQueue::submit_locked(std::uint32_t node,
   return false;
 }
 
+bool MicroBatchQueue::due_locked() const {
+  if (size_ == 0) return false;
+  if (max_wait_.count() <= 0 || flush_requested_ || size_ >= max_batch_) {
+    return true;
+  }
+  return std::chrono::steady_clock::now() >=
+         slots_[head_].entry.enqueued + max_wait_;
+}
+
+std::uint32_t MicroBatchQueue::claim_locked() {
+  if (free_drainers_.empty()) return kNone;
+  const std::uint32_t drainer = free_drainers_.back();
+  free_drainers_.pop_back();
+  return drainer;
+}
+
+std::uint32_t MicroBatchQueue::after_enqueue_locked(bool was_empty,
+                                                    bool* wake_timer) {
+  const std::uint32_t drainer = due_locked() ? claim_locked() : kNone;
+  // A first entry gives the timer a deadline to sleep towards.
+  *wake_timer = drainer == kNone && was_empty && max_wait_.count() > 0;
+  return drainer;
+}
+
 bool MicroBatchQueue::submit(std::uint32_t node, const Sha256Digest& digest,
                              TokenState* waiter) {
   bool coalesced = false;
+  bool wake_timer = false;
+  std::uint32_t drainer = kNone;
   {
     MutexLock lock(mu_);
     GV_RANK_SCOPE(lockrank::kQueue);
     GV_CHECK(!stopping_, "queue is shutting down");
+    const bool was_empty = size_ == 0;
     coalesced = submit_locked(node, digest, waiter);
+    drainer = after_enqueue_locked(was_empty, &wake_timer);
   }
-  cv_.notify_one();
+  if (wake_timer) cv_.notify_one();
+  if (drainer != kNone) post_(drainer);
   return coalesced;
 }
 
@@ -104,87 +147,116 @@ std::size_t MicroBatchQueue::submit_many(
   GV_CHECK(nodes.size() == digests.size() && nodes.size() == waiters.size(),
            "submit_many spans must be parallel");
   std::size_t coalesced = 0;
+  bool wake_timer = false;
+  std::uint32_t drainer = kNone;
   {
-    // The whole client batch rides ONE lock acquisition — the old front
-    // ends paid one lock round-trip (and one wake) per node.
+    // The whole client batch rides ONE lock acquisition and claims at most
+    // one drainer.
     MutexLock lock(mu_);
     GV_RANK_SCOPE(lockrank::kQueue);
     GV_CHECK(!stopping_, "queue is shutting down");
+    const bool was_empty = size_ == 0;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       if (submit_locked(nodes[i], digests[i], waiters[i])) ++coalesced;
     }
+    drainer = after_enqueue_locked(was_empty, &wake_timer);
   }
-  cv_.notify_all();
+  if (wake_timer) cv_.notify_one();
+  if (drainer != kNone) post_(drainer);
   return coalesced;
 }
 
-bool MicroBatchQueue::next_batch(Batch* out) {
+bool MicroBatchQueue::pop_due(std::size_t drainer, Batch* out) {
   out->count = 0;
   out->size_for(max_batch_);
-  MutexLock lock(mu_);
-  GV_RANK_SCOPE(lockrank::kQueue);
-  for (;;) {
-    // Explicit wait loop (not the predicate overload) so every access to
-    // the guarded queue state stays inside this REQUIRES-checked body.
-    while (!stopping_ && size_ == 0) cv_.wait(mu_);
-    if (size_ == 0) {
-      if (stopping_) return false;
-      continue;
-    }
-    // Dynamic micro-batching: grow the batch until it is full, the OLDEST
-    // entry's deadline passes, or a flush/shutdown short-circuits it.  The
-    // deadline is recomputed from the current front on every wake-up:
-    // another worker may have drained the queue while we waited, and the
-    // fresh entries that arrived since deserve their own full wait — a
-    // batch must never flush early on a drained batch's leftover deadline.
-    while (size_ < max_batch_ && !stopping_ && !flush_requested_) {
-      const auto deadline = slots_[head_].entry.enqueued + max_wait_;
-      if (std::chrono::steady_clock::now() >= deadline) break;
-      cv_.wait_until(mu_, deadline);
-      if (size_ == 0) break;  // another worker drained it
-    }
-    if (size_ == 0) {
-      if (stopping_) return false;
-      continue;
-    }
-    const std::size_t take = std::min(size_, max_batch_);
-    for (std::size_t i = 0; i < take; ++i) {
-      const std::uint32_t idx = head_;
-      Slot& s = slots_[idx];
-      const auto it = index_.find(s.entry.node);
-      if (it != index_.end() && it->second == idx) index_.erase(it);
-      Entry& dst = out->entries[i];
-      dst.node = s.entry.node;
-      dst.digest = s.entry.digest;
-      dst.enqueued = s.entry.enqueued;
-      dst.query_id = s.entry.query_id;
-      // Swap waiter vectors: the slot inherits the batch entry's retained
-      // capacity, the batch entry takes the waiters — capacities circulate
-      // between slab and batch pool without ever hitting the heap.
-      dst.waiters.swap(s.entry.waiters);
-      head_ = s.next;
-      if (head_ != kNone) {
-        slots_[head_].prev = kNone;
-      } else {
-        tail_ = kNone;
+  bool wake_timer = false;
+  {
+    MutexLock lock(mu_);
+    GV_RANK_SCOPE(lockrank::kQueue);
+    if (due_locked()) {
+      const std::size_t take = std::min(size_, max_batch_);
+      for (std::size_t i = 0; i < take; ++i) {
+        const std::uint32_t idx = head_;
+        Slot& s = slots_[idx];
+        const auto it = index_.find(s.entry.node);
+        if (it != index_.end() && it->second == idx) index_.erase(it);
+        Entry& dst = out->entries[i];
+        dst.node = s.entry.node;
+        dst.digest = s.entry.digest;
+        dst.enqueued = s.entry.enqueued;
+        dst.query_id = s.entry.query_id;
+        // Swap waiter vectors: the slot inherits the batch entry's retained
+        // capacity, the batch entry takes the waiters — capacities circulate
+        // between slab and batch pool without ever hitting the heap.
+        dst.waiters.swap(s.entry.waiters);
+        head_ = s.next;
+        if (head_ != kNone) {
+          slots_[head_].prev = kNone;
+        } else {
+          tail_ = kNone;
+        }
+        release_slot_locked(idx);
+        --size_;
       }
-      release_slot_locked(idx);
-      --size_;
+      out->count = take;
+      if (size_ == 0) flush_requested_ = false;
+      return true;
     }
-    out->count = take;
-    if (size_ == 0) flush_requested_ = false;
-    return true;
+    free_drainers_.push_back(static_cast<std::uint32_t>(drainer));
+    // The timer may be waiting for a slot to come back, or for a deadline
+    // of an entry this drainer just popped: either way it must recompute
+    // from the current head.
+    wake_timer = size_ != 0 && max_wait_.count() > 0;
+  }
+  if (wake_timer) cv_.notify_one();
+  return false;
+}
+
+void MicroBatchQueue::release_drainer(std::size_t drainer) {
+  {
+    MutexLock lock(mu_);
+    GV_RANK_SCOPE(lockrank::kQueue);
+    free_drainers_.push_back(static_cast<std::uint32_t>(drainer));
+  }
+  cv_.notify_one();
+}
+
+void MicroBatchQueue::timer_loop() {
+  for (;;) {
+    std::uint32_t drainer = kNone;
+    {
+      MutexLock lock(mu_);
+      GV_RANK_SCOPE(lockrank::kQueue);
+      while (drainer == kNone) {
+        if (stopping_) return;
+        if (size_ == 0) {
+          cv_.wait(mu_);
+        } else if (!due_locked()) {
+          // Recomputed from the current head on every wake-up: a fresh
+          // entry behind a drained batch gets its own full wait.
+          cv_.wait_until(mu_, slots_[head_].entry.enqueued + max_wait_);
+        } else {
+          drainer = claim_locked();
+          // Every drainer is claimed: each pops what is due before giving
+          // its slot back, and a give-back wakes this loop.
+          if (drainer == kNone) cv_.wait(mu_);
+        }
+      }
+    }
+    post_(drainer);
   }
 }
 
 void MicroBatchQueue::flush() {
+  std::uint32_t drainer = kNone;
   {
     MutexLock lock(mu_);
     GV_RANK_SCOPE(lockrank::kQueue);
     if (size_ == 0) return;
     flush_requested_ = true;
+    drainer = claim_locked();
   }
-  cv_.notify_all();
+  if (drainer != kNone) post_(drainer);
 }
 
 void MicroBatchQueue::stop() {
@@ -211,6 +283,7 @@ void MicroBatchQueue::stop() {
   // they can report.
   const auto err = std::make_exception_ptr(Error("server shutting down"));
   for (TokenState* w : orphans) w->fail(err);
+  if (timer_.joinable()) timer_.join();
 }
 
 std::size_t MicroBatchQueue::pending() const {

@@ -1,31 +1,44 @@
-// MicroBatchQueue: the dynamic micro-batching queue at the heart of the
-// JobServe ServeFrontEnd.
+// MicroBatchQueue: the work-conserving micro-batching queue at the heart of
+// the JobServe ServeFrontEnd.
 //
-// Requests accumulate until the batch is full or the oldest request's
-// deadline passes (or a flush/shutdown short-circuits the wait).  Duplicate
-// in-flight queries for the SAME node (and feature digest) coalesce onto
-// one entry: the node occupies one slot in the flushed batch — one share of
-// one ecall — and the result fans out to every waiting token.  Hot nodes
-// (the celebrity-profile lookup every feed is rendering) therefore cost one
-// enclave computation per flush instead of one per caller.
+// A queued request is cut into a batch as soon as a drainer can run it.
+// There are at most `drainers` drainers (one per JobSystem worker); each is
+// a drain job that pops DUE batches (at most max_batch entries each) and
+// runs them back to back, and gives its slot back once nothing is due.
+// While every drainer is busy, new requests pile up and coalesce, so a
+// batch grows exactly as far as the workers have fallen behind.
 //
-// JobServe redesign notes:
-//   * Waiters are pooled TokenState pointers (serve/submit_token.hpp), not
-//     std::promise values: enqueuing allocates nothing.
-//   * Entries live in a stable SLOT SLAB threaded onto an intrusive FIFO
-//     list plus an index free list; slots recycle, and their waiter vectors
-//     keep their capacity across recycles — after warm-up a submit touches
-//     zero heap.
-//   * submit_many() enqueues an entire client batch under ONE lock
-//     acquisition (the old front ends paid N lock round-trips).
-//   * next_batch() fills a caller-owned pooled Batch (swapping waiter
-//     vector capacities with the slots) instead of returning a fresh
-//     std::vector of entries.
+// An entry is due when the batch is full, when `max_wait` has passed since
+// the oldest entry was enqueued, or after flush().  With the default
+// max_wait of 0 every entry is due on arrival.  A positive max_wait keeps
+// requests queued for up to that long to batch them; a deadline timer
+// thread (started only then) sleeps until the oldest entry is due and posts
+// a drainer for it.  The deadline is recomputed from the current oldest
+// entry on every wake-up, so a fresh entry always gets its own full wait.
+//
+// Whoever makes an entry due — submit(), submit_many(), flush() or the
+// timer — claims a free drainer slot under the queue lock and calls the
+// `post` callback after unlocking.  A drainer gives its slot back under the
+// same lock only when nothing is due, so a due entry is never left queued
+// with no drainer coming.
+//
+// Duplicate in-flight queries for the SAME node (and feature digest)
+// coalesce onto one entry: the node occupies one slot in the batch — one
+// share of one ecall — and the result fans out to every waiting token.
+//
+// Allocation: waiters are pooled TokenState pointers (serve/submit_token.hpp);
+// entries live in a stable slot slab threaded onto an intrusive FIFO list
+// plus an index free list, and their waiter vectors keep their capacity
+// across recycles; pop_due() fills a caller-owned pooled Batch by swapping
+// waiter vectors.  After warm-up neither submitting nor draining touches
+// the heap.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <span>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -52,30 +65,41 @@ class MicroBatchQueue {
     std::uint64_t query_id = 0;
   };
 
-  /// One flushed micro-batch.  Pooled by the ServeFrontEnd: entries are
-  /// pre-sized to max_batch and recycle their waiter-vector capacity, and
-  /// the embedded arena scratches the flush path (reset per flush, blocks
-  /// retained).
+  /// One popped micro-batch.  Pooled by the ServeFrontEnd (one per drainer
+  /// slot): entries are pre-sized to max_batch and recycle their
+  /// waiter-vector capacity, and the embedded arena scratches the flush
+  /// path (reset per flush, blocks retained).
   struct Batch {
     /// Grow to `max_batch` entries, each with room for one waiter.  Waiter
-    /// vectors circulate between slots and entries by swap (next_batch),
-    /// so one entering with zero capacity would make a later submit
-    /// allocate; sizing at creation keeps a batch first used after
-    /// warm-up heap-free.
+    /// vectors circulate between slots and entries by swap (pop_due), so
+    /// one entering with zero capacity would make a later submit allocate;
+    /// sizing at creation keeps a batch first used after warm-up heap-free.
     void size_for(std::size_t max_batch);
 
     std::vector<Entry> entries;  // [0, count) valid
     std::size_t count = 0;
     Arena arena;
     /// Arena figures last pushed to the EngineProbe gauges for this batch
-    /// (ServeFrontEnd::release_batch publishes deltas only when they moved
-    /// — which stops happening once the arena reaches steady state).
+    /// (ServeFrontEnd publishes deltas only when they moved — which stops
+    /// happening once the arena reaches steady state).
     std::size_t published_reserved = 0;
     std::size_t published_blocks = 0;
     std::size_t published_high_water = 0;
   };
 
-  MicroBatchQueue(std::size_t max_batch, std::chrono::microseconds max_wait);
+  /// Starts a drain job for the claimed drainer slot `drainer` (in
+  /// [0, drainers)).  Called without the queue lock held, on the thread
+  /// that made an entry due.  The job must call pop_due(drainer, ...) until
+  /// it returns false, or release_drainer(drainer) if it never runs.
+  using PostDrainer = std::function<void(std::size_t drainer)>;
+
+  MicroBatchQueue(std::size_t max_batch, std::chrono::microseconds max_wait,
+                  std::size_t drainers, PostDrainer post);
+  /// stop(): fails queued waiters and joins the deadline timer.
+  ~MicroBatchQueue();
+
+  MicroBatchQueue(const MicroBatchQueue&) = delete;
+  MicroBatchQueue& operator=(const MicroBatchQueue&) = delete;
 
   /// Enqueue a waiter, taking ownership of its producer reference.  Returns
   /// true when it coalesced onto an already queued entry for the same
@@ -91,20 +115,22 @@ class MicroBatchQueue {
                           std::span<const Sha256Digest> digests,
                           std::span<TokenState* const> waiters);
 
-  /// Block until a batch is ready and pop it into `out` (at most max_batch
-  /// entries; `out` is sized on first use and recycled after).
-  /// Returns false only when the queue is stopped — the dispatcher's exit
-  /// condition.
-  bool next_batch(Batch* out);
+  /// Drainer body: pop the oldest due entries (at most max_batch) into
+  /// `out` and return true; when nothing is due, give the slot back and
+  /// return false.  `out` is sized on first use and recycled after.
+  bool pop_due(std::size_t drainer, Batch* out);
+  /// Give back the slot of a drain job that never ran (cancelled at
+  /// shutdown).
+  void release_drainer(std::size_t drainer);
 
-  /// Flush pending entries without waiting for the deadline.
+  /// Make every pending entry due now.
   void flush();
-  /// Reject new submissions and wake every waiting worker.  Entries still
-  /// queued (never popped into a batch) have their waiters failed with an
-  /// explicit "server shutting down" gv::Error — never a silent drop.
+  /// Reject new submissions, fail every queued waiter with an explicit
+  /// "server shutting down" gv::Error — never a silent drop — and join the
+  /// deadline timer.  Idempotent.
   void stop();
 
-  /// Queued (unflushed) entries; coalesced duplicates count once.
+  /// Queued (not yet popped) entries; coalesced duplicates count once.
   std::size_t pending() const;
   /// Most entries ever queued at once (EngineScope depth gauge).
   std::size_t depth_high_water() const;
@@ -131,11 +157,21 @@ class MicroBatchQueue {
   void release_slot_locked(std::uint32_t idx) GV_REQUIRES(mu_);
   bool submit_locked(std::uint32_t node, const Sha256Digest& digest,
                      TokenState* waiter) GV_REQUIRES(mu_);
+  bool due_locked() const GV_REQUIRES(mu_);
+  /// A free drainer slot, or kNone when every drainer is claimed.
+  std::uint32_t claim_locked() GV_REQUIRES(mu_);
+  /// After an enqueue: claim a drainer for a due head, or wake the timer
+  /// when the queue just stopped being empty.
+  std::uint32_t after_enqueue_locked(bool was_empty, bool* wake_timer)
+      GV_REQUIRES(mu_);
+  void timer_loop();
 
   const std::size_t max_batch_;
   const std::chrono::microseconds max_wait_;
+  const PostDrainer post_;
 
   mutable Mutex mu_ GV_LOCK_RANK(gv::lockrank::kQueue){gv::lockrank::kQueue};
+  /// Wakes the deadline timer (only waiter).
   CondVar cv_;
   /// Stable slot slab; grows during warm-up only (index-addressed, so
   /// vector reallocation is safe).
@@ -153,8 +189,14 @@ class MicroBatchQueue {
                      RecyclingAllocator<std::pair<const std::uint32_t,
                                                   std::uint32_t>>>
       index_ GV_GUARDED_BY(mu_);
+  /// Unclaimed drainer slots (capacity reserved for all of them, so a
+  /// give-back never allocates).
+  std::vector<std::uint32_t> free_drainers_ GV_GUARDED_BY(mu_);
   bool stopping_ GV_GUARDED_BY(mu_) = false;
   bool flush_requested_ GV_GUARDED_BY(mu_) = false;
+
+  /// Deadline timer; runs only when max_wait > 0.
+  std::thread timer_;
 };
 
 }  // namespace gv

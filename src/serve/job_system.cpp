@@ -87,7 +87,7 @@ void JobSystem::post(JobClass cls, std::function<void()> run,
       j.cls = cls;
       w.lanes[ci].push_back(std::move(j));
       if (w.lanes[ci].size() > w.depth_hw[ci]) w.depth_hw[ci] = w.lanes[ci].size();
-      queued_total_.fetch_add(1, std::memory_order_relaxed);
+      queued_total_.fetch_add(1);
       accepted = true;
     }
   }
@@ -96,7 +96,9 @@ void JobSystem::post(JobClass cls, std::function<void()> run,
     cancelled_[ci].fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  signal_work();
+  // One job needs one worker: waking every parked worker on every post
+  // costs each of them a futile steal scan and a re-park.
+  wake_workers(/*all=*/false);
 }
 
 bool JobSystem::pop_runnable(Worker& w, bool steal, Job* out,
@@ -127,7 +129,10 @@ bool JobSystem::pop_runnable(Worker& w, bool steal, Job* out,
       }
     }
     *out = steal ? lane.pop_back() : lane.pop_front();
-    queued_total_.fetch_sub(1, std::memory_order_relaxed);
+    // Counted running before it stops being queued, so drain_idle() never
+    // sees both counts at 0 while a job is between the two.
+    running_total_.fetch_add(1);
+    queued_total_.fetch_sub(1);
     return true;
   }
   return false;
@@ -174,33 +179,42 @@ bool JobSystem::try_run_one(std::size_t self) {
 }
 
 void JobSystem::execute(Job job, bool reserved_maint, Worker& me) {
-  running_total_.fetch_add(1, std::memory_order_relaxed);
   try {
     if (job.run) job.run();
   } catch (...) {
     // Jobs own their error reporting (flush jobs fail their waiters); a
     // leaked exception must not take the worker down.
   }
-  if (reserved_maint) {
-    maintenance_running_.fetch_sub(1, std::memory_order_acq_rel);
-  }
-  running_total_.fetch_sub(1, std::memory_order_relaxed);
   // Worker-local count: one relaxed add, no stats mutex on the hot path.
+  // Counted before the job stops running, so drain_idle() callers see it.
   me.executed[static_cast<std::size_t>(job.cls)].fetch_add(
       1, std::memory_order_relaxed);
-  // A finished maintenance job frees a cap slot; sleeping workers (and
-  // drain_idle waiters) must recheck.
-  signal_work();
+  if (reserved_maint) {
+    maintenance_running_.fetch_sub(1, std::memory_order_acq_rel);
+    // A freed maintenance-cap slot may make a queued maintenance job
+    // runnable for a parked worker.
+    wake_workers(/*all=*/false);
+  }
+  if (running_total_.fetch_sub(1) == 1 && queued_total_.load() == 0) {
+    // Taking idle_mu_ orders this against a drain_idle() caller that has
+    // checked the counts but not yet started waiting.
+    MutexLock lock(idle_mu_);
+    GV_RANK_SCOPE(lockrank::kJobQueue);
+    drained_cv_.notify_all();
+  }
 }
 
-void JobSystem::signal_work() {
+void JobSystem::wake_workers(bool all) {
   {
     MutexLock lock(idle_mu_);
     GV_RANK_SCOPE(lockrank::kJobQueue);
     ++work_signal_;
   }
-  idle_cv_.notify_all();
-  drained_cv_.notify_all();
+  if (all) {
+    idle_cv_.notify_all();
+  } else {
+    idle_cv_.notify_one();
+  }
 }
 
 void JobSystem::worker_loop(std::size_t self) {
@@ -265,7 +279,7 @@ void JobSystem::stop(std::chrono::milliseconds drain) {
     }
     if (queued_maint == 0) break;
     if (std::chrono::steady_clock::now() >= deadline) break;
-    signal_work();  // cap slots may have freed; keep workers chewing
+    wake_workers(/*all=*/true);  // keep every worker chewing
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
 
@@ -305,8 +319,7 @@ void JobSystem::stop(std::chrono::milliseconds drain) {
 void JobSystem::drain_idle() {
   MutexLock lock(idle_mu_);
   GV_RANK_SCOPE(lockrank::kJobQueue);
-  while (queued_total_.load(std::memory_order_relaxed) != 0 ||
-         running_total_.load(std::memory_order_relaxed) != 0) {
+  while (queued_total_.load() != 0 || running_total_.load() != 0) {
     drained_cv_.wait(idle_mu_);
   }
 }

@@ -10,7 +10,8 @@
 // job.
 //
 // Priority classes (tenant QoS):
-//   kInteractive   batch flushes for live queries.  Always runnable.
+//   kInteractive   drain jobs running batch flushes for live queries.
+//                  Always runnable.
 //   kCold          cold-path recomputes: post-promotion boundary rebuilds,
 //                  forced re-materializations.  Runs when no interactive
 //                  work is runnable on that worker.
@@ -20,10 +21,16 @@
 //                  min 1), so a maintenance storm can never occupy every
 //                  worker and starve interactive latency.
 //
+// Wake-ups: a post wakes ONE parked worker (any worker can steal the job),
+// a finished job wakes one only when it freed a maintenance-cap slot, and
+// drain_idle() waiters are woken when the queued and running counts both
+// reach 0.  A worker that finishes a job rescans every deque before it
+// parks, so nothing else needs a wake.
+//
 // Shutdown (stop(drain)): new posts are rejected (their cancel handler runs
-// immediately), queued INTERACTIVE and COLD jobs are cancelled — for batch
-// flushes the cancel handler fails every waiter with the existing "server
-// shutting down" Error — while queued MAINTENANCE jobs keep draining until
+// immediately), queued INTERACTIVE and COLD jobs are cancelled — a serving
+// drain job's cancel handler gives its drainer slot back — while queued
+// MAINTENANCE jobs keep draining until
 // the deadline, after which the stragglers are cancelled too.  Jobs already
 // executing always run to completion (workers are joined).
 //
@@ -175,7 +182,8 @@ class JobSystem {
   bool pop_runnable(Worker& w, bool steal, Job* out, bool* reserved_maint)
       GV_REQUIRES(w.mu);
   void execute(Job job, bool reserved_maint, Worker& me);
-  void signal_work();
+  /// Bump the work signal and wake one parked worker (`all`: every one).
+  void wake_workers(bool all);
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::size_t maintenance_cap_ = 1;
@@ -196,7 +204,8 @@ class JobSystem {
   /// sweeps), so plain shared atomics are fine here.
   std::atomic<std::uint64_t> cancelled_[kNumJobClasses]{};
 
-  // Completion signal for drain_idle(): bumps when queued_total_ hits 0.
+  // Completion signal for drain_idle(): notified when the queued and
+  // running counts both reach 0.
   CondVar drained_cv_;
 };
 

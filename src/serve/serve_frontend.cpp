@@ -16,23 +16,29 @@ ServeFrontEnd::ServeFrontEnd(ServeBackend& backend, const ServerConfig& cfg,
       cfg_(cfg),
       cache_(cfg.cache_capacity),
       num_nodes_(num_nodes),
-      queue_(cfg.max_batch, cfg.max_wait),
+      batches_(std::make_unique<Batch[]>(
+          std::max<std::size_t>(1, cfg.worker_threads))),
+      queue_(cfg.max_batch, cfg.max_wait,
+             std::max<std::size_t>(1, cfg.worker_threads),
+             [this](std::size_t slot) { post_drainer(slot); }),
       jobs_(std::max<std::size_t>(1, cfg.worker_threads),
             cfg.max_maintenance_in_flight) {
-  cfg_.max_batch = std::max<std::size_t>(1, cfg_.max_batch);
+  cfg_.max_batch = queue_.max_batch();
   cfg_.worker_threads = jobs_.num_workers();
   cfg_.max_maintenance_in_flight = jobs_.max_maintenance_in_flight();
   probe_ =
       std::make_unique<EngineProbe>(MetricsRegistry::global(), cfg_.tenant);
   probe_->attach(&jobs_, &tokens_, &queue_);
-  // The batches a closed-loop caller can hold at once: one per worker, one
-  // posted and one filling in the dispatcher.  Creating them here keeps the
-  // pool from growing (and allocating) once serving starts.
-  for (std::size_t i = 0; i < jobs_.num_workers() + 2; ++i) {
-    Batch* b = new_batch();
-    MutexLock lock(pool_mu_);
-    GV_RANK_SCOPE(lockrank::kJobQueue);
-    free_batches_.push_back(b);
+  // Every drainer slot's batch is sized here, so serving never allocates
+  // one: entries and waiter capacity for max_batch, plus one flush's
+  // scratch (execute_batch: node ids, labels, digests, alignment slack).
+  for (std::size_t i = 0; i < cfg_.worker_threads; ++i) {
+    Batch& b = batches_[i];
+    b.size_for(cfg_.max_batch);
+    b.arena.reserve(cfg_.max_batch * (2 * sizeof(std::uint32_t) +
+                                      sizeof(Sha256Digest)) +
+                    64);
+    publish_arena(b);
   }
   tokens_.set_observer(
       probe_.get(),
@@ -41,7 +47,6 @@ ServeFrontEnd::ServeFrontEnd(ServeBackend& backend, const ServerConfig& cfg,
         static_cast<EngineProbe*>(ctx)->publish_token_pool(capacity,
                                                            free_count, chunks);
       });
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
 ServeFrontEnd::~ServeFrontEnd() {
@@ -58,16 +63,15 @@ ServeFrontEnd::~ServeFrontEnd() {
 void ServeFrontEnd::stop() {
   bool expected = false;
   if (!stopped_.compare_exchange_strong(expected, true)) return;
-  // 1. Queue first: new submits throw, queued-but-unflushed INTERACTIVE
-  //    waiters fail with the "server shutting down" Error.
+  // 1-2. Queue first: new submits throw, queued waiters fail with the
+  //      "server shutting down" Error, and the deadline timer is joined,
+  //      so nothing posts a drainer after this.
   queue_.stop();
-  // 2. The dispatcher sees next_batch() return false and exits (batches it
-  //    already posted are owned by their jobs).
-  if (dispatcher_.joinable()) dispatcher_.join();
-  // 3. Job system: queued interactive/cold jobs are cancelled — a flush
-  //    job's cancel handler fails its batch's waiters with the same
-  //    shutdown error — while queued MAINTENANCE drains bounded by the
-  //    configured deadline.  In-flight jobs of every class complete.
+  // 3. Job system: queued interactive/cold jobs are cancelled — a drain
+  //    job's cancel handler gives its slot back — while queued MAINTENANCE
+  //    drains bounded by the configured deadline.  In-flight jobs of every
+  //    class complete; a running drain job finishes its batch and then
+  //    finds the queue stopped.
   jobs_.stop(cfg_.shutdown_drain);
 }
 
@@ -156,38 +160,6 @@ void ServeFrontEnd::flush() { queue_.flush(); }
 
 std::size_t ServeFrontEnd::pending() const { return queue_.pending(); }
 
-ServeFrontEnd::Batch* ServeFrontEnd::new_batch() {
-  auto owned = std::make_unique<Batch>();
-  const std::size_t max_batch = queue_.max_batch();
-  owned->size_for(max_batch);
-  // One flush's scratch (execute_batch): node ids, labels, digests, plus
-  // alignment slack.
-  owned->arena.reserve(
-      max_batch * (2 * sizeof(std::uint32_t) + sizeof(Sha256Digest)) + 64);
-  publish_arena(*owned);
-  Batch* b = owned.get();
-  MutexLock lock(pool_mu_);
-  GV_RANK_SCOPE(lockrank::kJobQueue);
-  all_batches_.push_back(std::move(owned));
-  free_batches_.reserve(all_batches_.size());
-  return b;
-}
-
-ServeFrontEnd::Batch* ServeFrontEnd::acquire_batch() {
-  {
-    MutexLock lock(pool_mu_);
-    GV_RANK_SCOPE(lockrank::kJobQueue);
-    if (!free_batches_.empty()) {
-      Batch* b = free_batches_.back();
-      free_batches_.pop_back();
-      return b;
-    }
-  }
-  // More batches in flight than the constructor provisioned: the pool
-  // grows to the dispatched-ahead depth and then cycles forever.
-  return new_batch();
-}
-
 void ServeFrontEnd::publish_arena(Batch& b) {
   // Gauge deltas (the gauges aggregate the whole pool).  Steady state:
   // three reads + three compares, no probe call, no heap — the warm-path
@@ -209,41 +181,19 @@ void ServeFrontEnd::publish_arena(Batch& b) {
   }
 }
 
-void ServeFrontEnd::release_batch(Batch* b) {
-  b->count = 0;
-  publish_arena(*b);
-  MutexLock lock(pool_mu_);
-  GV_RANK_SCOPE(lockrank::kJobQueue);
-  free_batches_.push_back(b);
+void ServeFrontEnd::post_drainer(std::size_t slot) {
+  // Batch flushes are INTERACTIVE jobs: they compete with (and beat)
+  // cold/maintenance work on the same workers.
+  jobs_.post(
+      JobClass::kInteractive, [this, slot] { drain(slot); },
+      [this, slot] { queue_.release_drainer(slot); });
 }
 
-void ServeFrontEnd::dispatcher_loop() {
-  for (;;) {
-    Batch* b = acquire_batch();
-    if (!queue_.next_batch(b)) {
-      release_batch(b);
-      return;  // stopped and drained
-    }
-    // The flush itself is an INTERACTIVE job: it competes with (and beats)
-    // cold/maintenance work on the same workers.
-    jobs_.post(
-        JobClass::kInteractive,
-        [this, b] {
-          execute_batch(*b);
-          release_batch(b);
-        },
-        [this, b] {
-          fail_batch_shutdown(*b);
-          release_batch(b);
-        });
-  }
-}
-
-void ServeFrontEnd::fail_batch_shutdown(Batch& b) {
-  const auto err = std::make_exception_ptr(Error("server shutting down"));
-  for (std::size_t i = 0; i < b.count; ++i) {
-    for (TokenState* w : b.entries[i].waiters) w->fail(err);
-    b.entries[i].waiters.clear();
+void ServeFrontEnd::drain(std::size_t slot) {
+  Batch& b = batches_[slot];
+  while (queue_.pop_due(slot, &b)) {
+    execute_batch(b);
+    publish_arena(b);
   }
 }
 

@@ -9,19 +9,25 @@
 //   callers ── submit(node) ─▶ LabelCache probe ─ hit ─▶ inline-ready token
 //                   │ miss                                  (zero alloc)
 //                   ▼
-//            MicroBatchQueue  (coalescing, deadline micro-batching,
-//                   │          pooled slots — zero alloc after warm-up)
-//                   ▼
-//            dispatcher thread ── pops batches, posts INTERACTIVE flush
-//                   │             jobs (pooled Batch + arena)
-//                   ▼
+//            MicroBatchQueue  (coalescing, pooled slots — zero alloc after
+//                   │          warm-up)
+//                   │ a due miss and a free drainer slot: the submitting
+//                   │ thread posts one INTERACTIVE drain job (max_wait > 0:
+//                   ▼ the queue's deadline timer posts it when due)
 //            JobSystem workers ── work-stealing, 3 priority classes;
 //                   │             maintenance/cold work (migrations,
 //                   │             recomputes) rides the SAME workers at
 //                   ▼             lower priority, capped in flight
+//            drain job ── pops due batches (<= max_batch) into its slot's
+//                   │     pooled Batch + arena, back to back, until
+//                   ▼     nothing is due
 //            ServeBackend::execute  (one ecall / one routed fan-out)
 //                   │
 //            tokens resolve; labels cached; QueryLens stages recorded
+//
+// There is one drainer slot per worker, so a miss is cut into a batch the
+// moment a worker can run it, and batches grow (up to max_batch) only while
+// every worker is busy.
 //
 // The observability contract of the old worker loops survives verbatim:
 // the per-entry `queue` stage, the async "serve/queue_wait" slice labeled
@@ -30,12 +36,12 @@
 // and the modeled-seconds delta, the `flush` stage, and record_batch
 // landing BEFORE any token resolves.
 //
-// Shutdown ordering (stop()): the queue rejects new work and fails queued
-// INTERACTIVE waiters with the existing "server shutting down" Error; the
-// dispatcher exits; the job system cancels queued interactive/cold jobs
-// (their cancel handlers fail the batch's waiters the same way) while
-// queued MAINTENANCE drains bounded by cfg.shutdown_drain; in-flight jobs
-// always complete.
+// Shutdown ordering (stop()): (1) the queue rejects new work and fails
+// queued waiters with the "server shutting down" Error; (2) its deadline
+// timer, if any, is joined; (3) the job system cancels queued
+// interactive/cold jobs — a cancelled drain job gives its slot back — while
+// queued MAINTENANCE drains bounded by cfg.shutdown_drain; (4) a running
+// drain job finishes its current batch, then finds the queue stopped.
 #pragma once
 
 #include <atomic>
@@ -44,11 +50,8 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/annotations.hpp"
-#include "common/thread_safety.hpp"
 #include "serve/batch_queue.hpp"
 #include "serve/job_system.hpp"
 #include "serve/label_cache.hpp"
@@ -60,13 +63,16 @@ namespace gv {
 class EngineProbe;
 
 struct ServerConfig {
-  /// Flush a batch as soon as this many requests are pending.
+  /// Most requests one batch carries.  A batch is full (and due) at this
+  /// many pending requests.
   std::size_t max_batch = 32;
-  /// ... or when the oldest pending request has waited this long.
-  std::chrono::microseconds max_wait{2000};
+  /// How long the oldest pending request may wait for company before it is
+  /// due.  0 (the default): cut a batch as soon as a worker is free.
+  std::chrono::microseconds max_wait{0};
   /// JobSystem workers executing batch flushes and background jobs (each
   /// batch is one serialized ecall; extra workers overlap untrusted-side
-  /// work with enclave execution).
+  /// work with enclave execution).  Also the number of drainer slots: at
+  /// most this many batches are popped and in flight at once.
   std::size_t worker_threads = 1;
   /// LRU label-cache entries; 0 disables caching.
   std::size_t cache_capacity = 1024;
@@ -139,14 +145,15 @@ class ServeFrontEnd {
   void post_background(JobClass cls, std::function<void()> fn,
                        std::function<void()> on_cancel = nullptr);
 
-  /// Force-flush pending requests without waiting for the deadline.
+  /// Make pending requests due without waiting for the deadline.
   void flush();
-  /// Pending (queued, unflushed) requests; coalesced duplicates count once.
+  /// Pending (queued, not yet popped) requests; coalesced duplicates count
+  /// once.
   std::size_t pending() const;
 
   /// Shutdown (idempotent; also run by the destructor): fail queued
   /// interactive work, drain maintenance bounded by cfg.shutdown_drain,
-  /// join dispatcher + workers.
+  /// join the deadline timer and the workers.
   void stop();
 
   /// Grow the valid node-id range (update_graph node adds).
@@ -165,16 +172,11 @@ class ServeFrontEnd {
  private:
   using Batch = MicroBatchQueue::Batch;
 
-  void dispatcher_loop();
+  /// Post the INTERACTIVE drain job of a claimed drainer slot.
+  void post_drainer(std::size_t slot);
+  /// Drain job body: run due batches in the slot's Batch until none is due.
+  void drain(std::size_t slot);
   void execute_batch(Batch& b);
-  /// Fail every waiter of an undispatched batch with the shutdown error.
-  void fail_batch_shutdown(Batch& b);
-
-  /// A pooled batch sized for max_batch (entries, waiter capacity, flush
-  /// scratch) and registered in all_batches_.
-  Batch* new_batch();
-  Batch* acquire_batch();
-  void release_batch(Batch* b);
   /// Push the batch's arena growth since its last publish to the probe.
   void publish_arena(Batch& b);
 
@@ -189,20 +191,14 @@ class ServeFrontEnd {
   /// probe alive while queue_/tokens_/jobs_ are torn down.
   std::unique_ptr<EngineProbe> probe_;
 
+  /// One pooled batch per drainer slot (entry/waiter capacities and arena
+  /// blocks retained across reuse); only the slot's drain job touches it.
+  std::unique_ptr<Batch[]> batches_;
+
   MicroBatchQueue queue_;
   TokenPool tokens_;
   JobSystem jobs_;
 
-  /// Pooled batches cycling between the dispatcher and flush jobs; their
-  /// entry/waiter capacities and arena blocks are retained across reuse.
-  /// free_batches_ keeps capacity for every pooled batch, so releasing one
-  /// never allocates.
-  mutable Mutex pool_mu_ GV_LOCK_RANK(gv::lockrank::kJobQueue){
-      gv::lockrank::kJobQueue};
-  std::vector<std::unique_ptr<Batch>> all_batches_ GV_GUARDED_BY(pool_mu_);
-  std::vector<Batch*> free_batches_ GV_GUARDED_BY(pool_mu_);
-
-  std::thread dispatcher_;
   std::atomic<bool> stopped_{false};
 };
 

@@ -8,8 +8,10 @@
 //   caller threads --> submit(node) --> [ServeFrontEnd: cache, dynamic
 //                                        micro-batch queue, JobSystem]
 //                                             |  duplicate nodes coalesce
-//                                             |  flush on max_batch
-//                                             |  or max-wait deadline
+//                                             |  cut as soon as a worker
+//                                             |  is free; grows (up to
+//                                             |  max_batch) only while
+//                                             |  every worker is busy
 //                                             |  ONE ecall per batch
 //                                     VaultDeployment::infer_labels_batched
 //                                             |
@@ -30,7 +32,7 @@
 // labels are invalidated by feature-row digest.
 //
 // Since the JobServe redesign, every piece of the serving front — the
-// submit/cache/coalesce path, micro-batching, dispatch, priority classes,
+// submit/cache/coalesce path, micro-batching, drain jobs, priority classes,
 // completion tokens — lives in serve/serve_frontend.hpp, shared with
 // ShardedVaultServer.  VaultServer is the ServeBackend: it pins feature
 // snapshots and turns a node batch into one enclave ecall.

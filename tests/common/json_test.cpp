@@ -10,6 +10,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace gv {
@@ -64,6 +65,44 @@ TEST(JsonReader, ErrorNamesTheOffendingByte) {
   EXPECT_EQ(err, "expected ',' or '}' at byte 7");
   ASSERT_FALSE(parse_json("\"ab\x02\"", &v, &err));
   EXPECT_EQ(err, "raw control character in string at byte 3");
+}
+
+// Ill-formed UTF-8 inside a string, each at byte 2 of "a<bytes>": stray
+// continuation bytes, overlong forms, encoded surrogates, code points above
+// U+10FFFF and truncated sequences (the last one at the end of input).
+TEST(JsonReader, RejectsIllFormedUtf8WithAnOffset) {
+  const std::vector<std::string> ill_formed = {
+      "\x80", "\xBF", "\xC0\xAF", "\xC1\xBF", "\xE0\x80\xAF",
+      "\xE0\x9F\xBF", "\xF0\x80\x80\xAF", "\xF0\x8F\xBF\xBF",
+      "\xED\xA0\x80", "\xED\xBF\xBF", "\xF4\x90\x80\x80",
+      "\xF5\x80\x80\x80", "\xFF", "\xE9", "\xC3", "\xE2\x82",
+      "\xF0\x9F\x98", "\xC3\xA9\xA9"};
+  for (const std::string& bytes : ill_formed) {
+    for (const std::string& text : {"\"a" + bytes + "\"", "\"a" + bytes}) {
+      JsonValue v;
+      std::string err;
+      EXPECT_FALSE(parse_json(text, &v, &err)) << "accepted: " << text;
+      const std::size_t at = bytes == "\xC3\xA9\xA9" ? 4 : 2;
+      EXPECT_EQ(err, "ill-formed UTF-8 in string at byte " + std::to_string(at))
+          << text;
+    }
+  }
+}
+
+TEST(JsonReader, AcceptsWellFormedUtf8AtEveryBoundary) {
+  const std::vector<std::string> well_formed = {
+      "\xC2\x80",          // U+0080
+      "\xDF\xBF",          // U+07FF
+      "\xE0\xA0\x80",      // U+0800
+      "\xED\x9F\xBF",      // U+D7FF, just below the surrogates
+      "\xEE\x80\x80",      // U+E000, just above them
+      "\xEF\xBF\xBF",      // U+FFFF
+      "\xF0\x90\x80\x80",  // U+10000
+      "\xF4\x8F\xBF\xBF",  // U+10FFFF
+      "caf\xC3\xA9 \xE2\x82\xAC \xF0\x9F\x98\x80"};
+  for (const std::string& bytes : well_formed) {
+    EXPECT_EQ(parse_ok("\"" + bytes + "\"").str, bytes);
+  }
 }
 
 TEST(JsonReader, MillionNestedBracketsIsAnErrorNotACrash) {
@@ -165,6 +204,32 @@ TEST(JsonWriter, SpotChecksAndAppends) {
   out.clear();
   append_json_string(out, "\xc3\xa9");  // UTF-8 passes through
   EXPECT_EQ(out, "\"\xc3\xa9\"");
+}
+
+// Each maximal ill-formed subsequence becomes one U+FFFD (Unicode's
+// "maximal subpart" practice, as in Python's errors="replace"); well-formed
+// sequences around it pass through unchanged.
+TEST(JsonWriter, ReplacesIllFormedUtf8WithReplacementCharacters) {
+  const std::string fffd = "\xEF\xBF\xBD";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"caf\xE9", "caf" + fffd},
+      {"\x80\xBF", fffd + fffd},                   // two stray continuations
+      {"\xC0\xAF", fffd + fffd},                   // overlong '/'
+      {"\xE0\x80\xAF", fffd + fffd + fffd},         // overlong, 3 bytes
+      {"\xF0\x8F\xBF\xBF", fffd + fffd + fffd + fffd},
+      {"\xED\xA0\x80", fffd + fffd + fffd},         // surrogate U+D800
+      {"\xF4\x90\x80\x80", fffd + fffd + fffd + fffd},  // above U+10FFFF
+      {"\xF5\xFF", fffd + fffd},
+      {"\xE2\x82x", fffd + "x"},                  // truncated: one subpart
+      {"a\xF0\x9F\x98", "a" + fffd},              // truncated at the end
+      {"\xF0\x9F\x98\xF0\x9F\x98\x80", fffd + "\xF0\x9F\x98\x80"},
+      {"\xC3\xA9\xA9\xC3\xA9", "\xC3\xA9" + fffd + "\xC3\xA9"}};
+  for (const auto& [in, want] : cases) {
+    std::string out;
+    append_json_string(out, in);
+    EXPECT_EQ(out, "\"" + want + "\"") << in;
+    EXPECT_EQ(parse_ok(out).str, want);
+  }
 }
 
 TEST(JsonWriter, NumbersUseNineDigitsAndNullForNonFinite) {

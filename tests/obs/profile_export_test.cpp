@@ -141,6 +141,21 @@ TEST(OpsReport, LiveAndCachedDocumentsValidate) {
   EXPECT_TRUE(validate_ops_report(cached, &err)) << err;
 }
 
+// A tenant name that is not valid UTF-8 (Latin-1 "cafe" with an acute e)
+// must still give an ops report that stock JSON readers accept: the writer
+// replaces the ill-formed byte with U+FFFD.
+TEST(OpsReport, NonUtf8TenantNameStillValidates) {
+  static const int owner = 0;
+  TenantLedger::global().register_provider(&owner, "caf\xe9",
+                                           [] { return TenantUsage{}; });
+  const std::string doc = ops_report();
+  TenantLedger::global().unregister(&owner);
+  std::string err;
+  EXPECT_TRUE(validate_ops_report(doc, &err)) << err;
+  EXPECT_EQ(doc.find('\xe9'), std::string::npos);
+  EXPECT_NE(doc.find("\"caf\xEF\xBF\xBD\""), std::string::npos);
+}
+
 TEST(OpsReport, ValidatorIsIndependentOfTheWriter) {
   std::string err;
   EXPECT_FALSE(validate_ops_report("{}", &err));

@@ -25,7 +25,8 @@ struct TokenSource {
 };
 
 TEST(MicroBatchQueue, CoalescesSameNodeSameDigest) {
-  MicroBatchQueue q(64, std::chrono::seconds(30));
+  PostedDrainers posted;
+  MicroBatchQueue q(64, std::chrono::seconds(30), 1, posted.poster());
   TokenSource src;
   Sha256Digest d{};
   EXPECT_FALSE(q.submit(5, d, src.next()));
@@ -34,7 +35,8 @@ TEST(MicroBatchQueue, CoalescesSameNodeSameDigest) {
   EXPECT_EQ(q.pending(), 2u);
   q.flush();
   MicroBatchQueue::Batch batch;
-  ASSERT_TRUE(q.next_batch(&batch));
+  ASSERT_EQ(posted.size(), 1u);
+  ASSERT_TRUE(q.pop_due(*posted.take(), &batch));
   ASSERT_EQ(batch.count, 2u);
   EXPECT_EQ(batch.entries[0].node, 5u);
   EXPECT_EQ(batch.entries[0].waiters.size(), 2u);
@@ -45,7 +47,8 @@ TEST(MicroBatchQueue, CoalescesSameNodeSameDigest) {
 }
 
 TEST(MicroBatchQueue, DigestMismatchDoesNotCoalesce) {
-  MicroBatchQueue q(64, std::chrono::seconds(30));
+  PostedDrainers posted;
+  MicroBatchQueue q(64, std::chrono::seconds(30), 1, posted.poster());
   TokenSource src;
   Sha256Digest old_digest{};
   Sha256Digest new_digest{};
@@ -59,14 +62,15 @@ TEST(MicroBatchQueue, DigestMismatchDoesNotCoalesce) {
 }
 
 TEST(MicroBatchQueue, SubmitAfterStopThrows) {
-  MicroBatchQueue q(4, std::chrono::microseconds(100));
+  PostedDrainers posted;
+  MicroBatchQueue q(4, std::chrono::microseconds(100), 1, posted.poster());
   TokenPool pool;
   q.stop();
   TokenState* s = pool.acquire();
   EXPECT_THROW(q.submit(1, Sha256Digest{}, s), Error);
   s->abandon();
-  MicroBatchQueue::Batch b;
-  EXPECT_FALSE(q.next_batch(&b));
+  q.flush();
+  EXPECT_EQ(posted.size(), 0u);  // no batch is ever cut after stop()
 }
 
 TEST(VaultServer, DuplicateInFlightQueriesShareOneBatchSlot) {

@@ -1,7 +1,7 @@
 // ServeFrontEnd contract tests: completion tokens (then/wait_all), the
 // zero-heap warm lookup path (the JobServe ROADMAP claim, asserted with a
-// global operator-new counter), tenant QoS under a maintenance flood, and
-// the staged shutdown ordering.
+// global operator-new counter), work-conserving batch formation, tenant QoS
+// under a maintenance flood, and the staged shutdown ordering.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,7 +9,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#include <mutex>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -136,11 +138,16 @@ TEST(ServeFrontEnd, WarmCacheHitLookupMakesZeroHeapAllocations) {
   EXPECT_EQ(delta, 0u) << "cache-hit lookups touched the heap";
 }
 
-TEST(ServeFrontEnd, WarmMissPathMakesZeroHeapAllocations) {
+// The zero-allocation miss path, for the default (eager: a batch is cut as
+// soon as a worker is free) and a deadline-batching max_wait.
+class ServeFrontEndMaxWait
+    : public ::testing::TestWithParam<std::chrono::microseconds> {};
+
+TEST_P(ServeFrontEndMaxWait, WarmMissPathMakesZeroHeapAllocations) {
   MockBackend backend;
   ServerConfig cfg;
   cfg.max_batch = 32;
-  cfg.max_wait = std::chrono::microseconds(200);
+  cfg.max_wait = GetParam();
   cfg.worker_threads = 2;
   cfg.cache_capacity = 0;  // every lookup exercises the full miss machinery
   ServeFrontEnd fe(backend, cfg, /*num_nodes=*/100);
@@ -156,8 +163,19 @@ TEST(ServeFrontEnd, WarmMissPathMakesZeroHeapAllocations) {
     return sum;
   };
 
-  // Warm up: token pool chunks, queue slab, batch pool, arena blocks, the
-  // job rings, and the stage-histogram statics all reach steady state.
+  // Warm up: token pool chunks, queue slab, arena blocks, the job rings,
+  // and the stage-histogram statics all reach steady state.  The first
+  // burst queues all 32 misses under one lock, so the slab and coalescing
+  // index reach the deepest queue a round can build however its drains
+  // interleave with its submits (under CPU contention a round can queue
+  // all 32 before any drain runs).
+  {
+    std::uint32_t nodes[32];
+    for (std::uint32_t i = 0; i < 32; ++i) nodes[i] = i;
+    SubmitBatch burst = fe.submit_many(nodes);
+    fe.flush();
+    burst.wait_all();
+  }
   for (int i = 0; i < 30; ++i) round();
 
   const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
@@ -167,6 +185,75 @@ TEST(ServeFrontEnd, WarmMissPathMakesZeroHeapAllocations) {
       g_allocs.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(sum, 10u * 3u * (31u * 32u / 2u));
   EXPECT_EQ(delta, 0u) << "warm miss-path lookups touched the heap";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MaxWait, ServeFrontEndMaxWait,
+    ::testing::Values(ServerConfig{}.max_wait, std::chrono::microseconds(200)),
+    [](const ::testing::TestParamInfo<std::chrono::microseconds>& info) {
+      return info.param.count() == 0
+                 ? std::string("Default")
+                 : "Wait" + std::to_string(info.param.count()) + "us";
+    });
+
+/// MockBackend whose first execute signals that it has entered and then
+/// blocks until the test releases it; records every batch's size.
+class GatedBackend : public MockBackend {
+ public:
+  BatchResult execute(std::span<const std::uint32_t> nodes,
+                      std::span<std::uint32_t> labels,
+                      std::span<Sha256Digest> digests) override {
+    if (first_.exchange(false)) {
+      entered.set_value();
+      release_gate.wait();
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      sizes_.push_back(nodes.size());
+    }
+    return MockBackend::execute(nodes, labels, digests);
+  }
+
+  std::vector<std::size_t> sizes() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return sizes_;
+  }
+
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> release_gate = release.get_future().share();
+
+ private:
+  std::atomic<bool> first_{true};
+  std::mutex mu_;
+  std::vector<std::size_t> sizes_;
+};
+
+// Work-conserving batching: with the default config a miss is cut into a
+// batch at once, and misses arriving while every worker is busy pile up
+// and leave together as the next batch — no deadline and no flush().
+TEST(ServeFrontEnd, BatchesFormWhileTheWorkersAreBusy) {
+  GatedBackend backend;
+  ServerConfig cfg;
+  cfg.worker_threads = 1;
+  ServeFrontEnd fe(backend, cfg, /*num_nodes=*/100);
+
+  SubmitToken first = fe.submit(1);
+  backend.entered.get_future().wait();  // the only worker runs batch {1}
+  std::vector<SubmitToken> rest;
+  for (std::uint32_t node = 2; node <= 9; ++node) {
+    rest.push_back(fe.submit(node));
+  }
+  rest.push_back(fe.submit(5));  // coalesces onto the queued node 5
+  backend.release.set_value();
+
+  EXPECT_EQ(first.get(), 3u);
+  for (std::uint32_t node = 2; node <= 9; ++node) {
+    EXPECT_EQ(rest[node - 2].get(), node * 3u);
+  }
+  EXPECT_EQ(rest.back().get(), 15u);
+  EXPECT_EQ(backend.sizes(), (std::vector<std::size_t>{1, 8}));
+  EXPECT_EQ(fe.metrics().snapshot().coalesced, 1u);
 }
 
 TEST(ServeFrontEnd, InteractiveLatencySurvivesMaintenanceFlood) {

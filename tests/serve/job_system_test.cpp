@@ -79,6 +79,24 @@ TEST(JobSystem, WorkStealingMovesJobsOffABusyWorker) {
   EXPECT_GT(js.stats().stolen, 0u);
 }
 
+// A post wakes one parked worker, and a finished job wakes nobody: waking
+// every parked worker on every post and completion cost each of them a
+// futile steal scan and a re-park (about three unparks per job on two
+// workers).  drain_idle() must still return in every round, so its waiter
+// is woken when the system goes idle.
+TEST(JobSystem, OnePostWakesOneParkedWorker) {
+  constexpr int kRounds = 200;
+  JobSystem js(2);
+  std::atomic<int> ran{0};
+  for (int round = 0; round < kRounds; ++round) {
+    js.post(JobClass::kInteractive,
+            [&] { ran.fetch_add(1, std::memory_order_relaxed); });
+    js.drain_idle();
+    ASSERT_EQ(ran.load(), round + 1);
+  }
+  EXPECT_LE(js.stats().unparks, 300u);
+}
+
 TEST(JobSystem, MaintenanceCapIsNeverExceeded) {
   JobSystem js(4, /*max_maintenance_in_flight=*/1);
   ASSERT_EQ(js.max_maintenance_in_flight(), 1u);
